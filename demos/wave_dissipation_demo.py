@@ -18,15 +18,16 @@ switching the CAVs back to human car-following lets the wave re-form.  Run:
 import numpy as np
 
 from ringflow import apply_profile, build_scenario, idm_plateau_speed, preset
-from ringflow.ring import revert_to_human, step
+from ringflow.ring import revert_to_human, rollout
 
 
-def scripted_accel(mean_speed, t, flatten_steps=300, base=2.0, rate=0.002,
+def scripted_accel(t, ring, flatten_steps=300, base=2.0, rate=0.002,
                    ceiling=9.5):
+    """``rollout`` control: the CAV command for step ``t``, no speed limit."""
     if t < flatten_steps:
-        return -1.0
+        return -1.0, None
     setpoint = min(ceiling, base + rate * (t - flatten_steps))
-    return -1.0 if mean_speed >= setpoint else 1.0
+    return (-1.0 if ring.mean_speed() >= setpoint else 1.0), None
 
 
 def main():
@@ -43,14 +44,11 @@ def main():
 
     horizon = 8000
     speeds = []
-    for t in range(horizon):
-        ring, report = step(
-            ring, cav_accel=scripted_accel(ring.mean_speed(), t)
-        )
-        if report is not None:
-            print(f"collision at step {t} — unexpected")
-            return
-        speeds.append(ring.mean_speed())
+    ring, report = rollout(ring, horizon, scripted_accel,
+                           lambda r: speeds.append(r.mean_speed()))
+    if report is not None:
+        print(f"collision at step {len(speeds) - 1} — unexpected")
+        return
     tail = float(np.mean(speeds[-1600:]))
     print(
         f"scripted platoon control: no collision in {horizon} steps, "
@@ -58,11 +56,7 @@ def main():
         f"({tail / plateau - 1:+.0%} vs the all-human plateau)"
     )
 
-    reverted = revert_to_human(ring)
-    for _ in range(2000):
-        reverted, report = step(reverted)
-        if report is not None:
-            break
+    reverted, _ = rollout(revert_to_human(ring), 2000)
     print(
         f"after handing the CAVs back to human car-following: mean speed "
         f"{reverted.mean_speed():.2f} m/s (the wave re-forms)"

@@ -22,6 +22,7 @@ from .ring import (
     load_vehicles,
     remove_vehicles,
     revert_to_human,
+    rollout,
     save_snapshot,
     load_snapshot,
     snapshot_from_json,

@@ -3,11 +3,11 @@ and the CAV-to-human switch-back experiment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dqn, metrics, net as qnet, ring as ringmod
+from . import dqn, metrics, ring as ringmod
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,19 @@ class VslPolicy:
 
     Rules are checked highest threshold first; the first matching rule's limit
     applies until the next evaluation.  An empty rule list never restricts.
+
+    Refresh rule: the limit is evaluated from the loop mean speed before the
+    first step of an experiment and then before every ``period_steps``-th
+    step, counting every step of the experiment, across vehicle removals
+    too.  ``controller`` implements it.
     """
 
     rules: tuple = ()
     period_steps: int = 600  # 60 simulated seconds at dt = 0.1
 
     def __post_init__(self):
+        if self.period_steps < 1:
+            raise ValueError("period_steps must be >= 1")
         thresholds = [r.min_mean_speed for r in self.rules]
         if sorted(thresholds, reverse=True) != thresholds or len(
             set(thresholds)
@@ -44,6 +51,26 @@ class VslPolicy:
             return min(self.rules[-1].limit, v0)
         return v0
 
+    def controller(self, v0):
+        """A ``ring.rollout`` control for one experiment: no CAV command, and
+        the active limit caps every driver's desired speed.
+
+        It counts the steps it has controlled, so one controller serves
+        every rollout of an experiment and the refresh period runs on
+        across them.
+        """
+        limit = v0
+        steps = 0
+
+        def control(t, ring):
+            nonlocal limit, steps
+            if steps % self.period_steps == 0:
+                limit = self.active_limit(ring.mean_speed(), v0)
+            steps += 1
+            return 0.0, limit
+
+        return control
+
 
 def default_vsl_policy():
     """Three-tier slowdown: 30 at >=15 m/s, 20 at >=8, 13 below."""
@@ -58,13 +85,9 @@ def default_vsl_policy():
 
 def run_idm_recovery(snapshot, steps, phase=metrics.Phase.UNLOADING):
     """Simulate the post-shock ring with every vehicle human-driven."""
-    ring = ringmod.revert_to_human(snapshot)
     rec = metrics.TraceRecorder(phase)
-    for _ in range(steps):
-        ring, report = ringmod.step(ring)
-        rec.record(ring)
-        if report is not None:
-            break
+    ringmod.rollout(ringmod.revert_to_human(snapshot), steps,
+                    observe=rec.record)
     return rec.finish()
 
 
@@ -75,19 +98,16 @@ def run_vsl(snapshot, policy, steps, phase=metrics.Phase.UNLOADING):
     """
     ring = ringmod.revert_to_human(snapshot)
     rec = metrics.TraceRecorder(phase)
-    v0 = ring.params.v0
-    limit = policy.active_limit(ring.mean_speed(), v0)
-    limits = np.empty(steps)
-    for i in range(steps):
-        if policy.rules and i % policy.period_steps == 0:
-            limit = policy.active_limit(ring.mean_speed(), v0)
-        limits[i] = limit
-        ring, report = ringmod.step(ring, v_desired=limit)
-        rec.record(ring)
-        if report is not None:
-            limits = limits[: i + 1]
-            break
-    return rec.finish(), limits
+    control = policy.controller(ring.params.v0)
+    limits = []
+
+    def limited(t, r):
+        cav_accel, limit = control(t, r)
+        limits.append(limit)
+        return cav_accel, limit
+
+    ringmod.rollout(ring, steps, limited, rec.record)
+    return rec.finish(), np.array(limits, dtype=np.float64)
 
 
 def _smoothed(x, window):
@@ -123,39 +143,16 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000,
 
     Both continuation branches start from the same bit-identical snapshot.
     """
-    trace, _ = dqn.evaluate(policy, env_spec, search_steps)
-    peak_step = find_flow_peak_step(trace.flow, window=peak_window)
-
-    # deterministic re-roll up to the peak to capture the snapshot
-    env = dqn.RingEnv(_non_terminating(env_spec, max(search_steps, 1) + 1))
-    rng = np.random.default_rng(0)
-    s = env.reset()
-    for _ in range(peak_step + 1):
-        q = qnet.forward(policy, np.array([s]))
-        a = dqn.select_action(q, 0.0, rng)
-        s, _, done, _ = env.step(a)
-        if done:
-            break
-    snap = env.ring.copy()
-
-    # branch (a): continue under CAV control
-    cav_rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
-    ring = snap.copy()
-    state = s
-    for _ in range(extra_steps):
-        q = qnet.forward(policy, np.array([state]))
-        a = dqn.select_action(q, 0.0, rng)
-        ring, report = ringmod.step(ring, cav_accel=dqn.ACTION_ACCELS[a])
-        state = ring.mean_speed() / env_spec.speed_normalizer
-        cav_rec.record(ring)
-        if report is not None:
-            break
-    cav_trace = cav_rec.finish()
-
-    # branch (b): revert to human and let the IDM take over
-    reverted_trace = run_idm_recovery(
-        snap, extra_steps, phase=metrics.Phase.CONTROLLED
-    )
+    if search_steps < 1:
+        raise ValueError("search_steps must be >= 1")
+    greedy = dqn.greedy_controller(policy, env_spec.speed_normalizer)
+    # every state of the search rollout is a fresh ring, so keeping them all
+    # lets the snapshot be taken at the peak without rolling out again
+    rings = []
+    ringmod.rollout(env_spec.snapshot, search_steps, greedy, rings.append)
+    flows = [metrics.measure(r).flow for r in rings]
+    peak_step = find_flow_peak_step(flows, window=peak_window)
+    snap = rings[peak_step]
 
     if extra_steps == 0:
         sample = metrics.measure(snap)
@@ -166,21 +163,17 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000,
             flow=np.array([sample.flow]),
             mean_speed=np.array([sample.mean_speed]),
         )
-        cav_trace = single
-        reverted_trace = single
+        cav_trace = reverted_trace = single
+    else:
+        cav_rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
+        ringmod.rollout(snap, extra_steps, greedy, cav_rec.record)
+        cav_trace = cav_rec.finish()
+        reverted_trace = run_idm_recovery(
+            snap, extra_steps, phase=metrics.Phase.CONTROLLED
+        )
     return SwitchBackResult(
         peak_step=peak_step,
         snapshot=snap,
         cav_trace=cav_trace,
         reverted_trace=reverted_trace,
-    )
-
-
-def _non_terminating(env_spec, steps):
-    return dqn.EnvSpec(
-        snapshot=env_spec.snapshot,
-        success_flow_threshold=env_spec.success_flow_threshold,
-        max_episode_steps=steps,
-        speed_normalizer=env_spec.speed_normalizer,
-        reward=dqn.RewardConfig(success_terminates=False),
     )

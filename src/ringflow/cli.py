@@ -27,12 +27,12 @@ def _out_dir(args, config):
 
 
 def _load_config(args):
-    if args.preset:
+    if args.config:
+        config = cfg.load_config(args.config)
+    elif args.preset:
         config = cfg.preset(args.preset)
     else:
         config = cfg.ScenarioConfig()
-    if args.config:
-        config = cfg.load_config(args.config)
     config = cfg.apply_profile(config, args.profile)
     if args.seed is not None:
         config = replace(
@@ -189,14 +189,13 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, steps_default=None):
-        sp.add_argument("--config", help="key = value config file")
-        sp.add_argument("--preset", choices=["mpr33", "mpr15", "mpr66",
-                                             "two-step"])
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--config", help="key = value config file")
+        source.add_argument("--preset", choices=["mpr33", "mpr15", "mpr66",
+                                                 "two-step"])
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", help=f"output dir (or ${ENV_OUT_ROOT})")
         sp.add_argument("--profile", choices=["full", "desk"], default="full")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel independent runs (reserved)")
         if steps_default is not None:
             sp.add_argument("--steps", type=int, default=steps_default)
 

@@ -7,7 +7,9 @@ DDQN hyperparameters, reward constants, and the VSL rule table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from functools import reduce
 
 from .baselines import VslPolicy, VslRule, default_vsl_policy
 from .dqn import DdqnConfig, EpsilonSchedule, RewardConfig
@@ -85,25 +87,84 @@ def apply_profile(config, profile):
 
 # -- key = value (de)serialization ---------------------------------------
 
-_TRUE = {"true", "yes", "1"}
-_FALSE = {"false", "no", "0"}
+_DEFAULTS = ScenarioConfig()
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
 
 
-def _parse_scalar(text):
-    t = text.strip()
-    low = t.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        raise ConfigError(f"expected a number or boolean, got {t!r}")
+def _get(obj, path):
+    return reduce(getattr, path, obj)
+
+
+def _keys(prefix, path):
+    """Keys for the non-dataclass fields of the section at ``path``."""
+    section = _get(_DEFAULTS, path)
+    return {f"{prefix}.{f.name}": path + (f.name,) for f in fields(section)
+            if not is_dataclass(getattr(section, f.name))}
+
+
+# Every config key, in file order, with the attribute path it sets.
+_KEYS = {
+    "sim.length": ("length",),
+    "sim.dt": ("dt",),
+    **{key: path for key, path in _keys("scenario", ()).items()
+       if path not in (("length",), ("dt",))},
+    **_keys("idm", ("idm",)),
+    **_keys("ddqn", ("ddqn",)),
+    **_keys("ddqn.epsilon", ("ddqn", "epsilon")),
+    **_keys("ddqn.lr", ("ddqn", "lr")),
+    **_keys("reward", ("reward",)),
+    "net.hidden_dims": ("net_spec", "hidden_dims"),
+    **_keys("vsl", ("vsl",)),
+}
+
+
+def _parse(default, text):
+    """``text`` as a value of the type of ``default``; a tuple's items take
+    the type of its first item, and speed-limit rules read 'threshold:limit'.
+    """
+    text = text.strip()
+    if isinstance(default, tuple):
+        return tuple(_parse(default[0], part)
+                     for part in text.split(",") if part.strip())
+    if isinstance(default, VslRule):
+        threshold, _, limit = text.partition(":")
+        return VslRule(float(threshold), float(limit))
+    if isinstance(default, bool):
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return _BOOLS[text.lower()]
+    if isinstance(default, Enum):
+        return type(default)(text.lower())
+    return type(default)(text)
+
+
+def _format(value):
+    if isinstance(value, tuple):
+        return ", ".join(_format(v) for v in value)
+    if isinstance(value, VslRule):
+        return f"{_format(value.min_mean_speed)}:{_format(value.limit)}"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
+
+
+def _with(obj, updates):
+    """``obj`` with ``updates`` (attribute path -> value) applied, one
+    ``replace`` per dataclass so its checks see all of its new values."""
+    changes, nested = {}, {}
+    for path, value in updates.items():
+        if len(path) == 1:
+            changes[path[0]] = value
+        else:
+            nested.setdefault(path[0], {})[path[1:]] = value
+    for name, sub in nested.items():
+        changes[name] = _with(getattr(obj, name), sub)
+    return replace(obj, **changes)
 
 
 def parse_kv(text):
@@ -125,156 +186,32 @@ def parse_kv(text):
     return out
 
 
-def _ints(text):
-    return tuple(int(p) for p in str(text).split(",") if p.strip())
-
-
 def config_from_kv(kv):
-    """Build a ScenarioConfig from a flat dotted-key dict; unknown keys fail."""
-    c = ScenarioConfig()
-    idm = {}
-    ddqn = {}
-    eps = {}
-    lr = {}
-    reward = {}
-    vsl_rules = None
-    vsl_period = None
-    net_hidden = None
-    setters = {}
+    """Build a ScenarioConfig from a flat dotted-key dict.
 
-    def top(name, conv=_parse_scalar):
-        setters[name] = ("top", name, conv)
-
-    top("sim.length")
-    top("sim.dt")
-    top("scenario.load_target")
-    top("scenario.removal_schedule", _ints)
-    top("scenario.removal_seed")
-    top("scenario.cav_count")
-    top("scenario.formation", lambda v: FormationStrategy(str(v).lower()))
-    top("scenario.max_episode_steps")
-    top("scenario.speed_jitter")
-    top("scenario.seed")
-    top("scenario.out_dir", str)
-
-    mapping = {
-        "sim.length": "length",
-        "sim.dt": "dt",
-        "scenario.load_target": "load_target",
-        "scenario.removal_schedule": "removal_schedule",
-        "scenario.removal_seed": "removal_seed",
-        "scenario.cav_count": "cav_count",
-        "scenario.formation": "formation",
-        "scenario.max_episode_steps": "max_episode_steps",
-        "scenario.speed_jitter": "speed_jitter",
-        "scenario.seed": "seed",
-        "scenario.out_dir": "out_dir",
-    }
-
-    for key, raw in kv.items():
-        if key in mapping:
-            _, _, conv = setters[key]
-            setattr(c, mapping[key], conv(raw))
-        elif key.startswith("idm."):
-            f = key[4:]
-            if f not in IdmParams.__dataclass_fields__:
-                raise ConfigError(f"unknown config key {key!r}")
-            idm[f] = float(raw)
-        elif key.startswith("ddqn.epsilon."):
-            f = key[len("ddqn.epsilon."):]
-            if f not in EpsilonSchedule.__dataclass_fields__:
-                raise ConfigError(f"unknown config key {key!r}")
-            eps[f] = _parse_scalar(raw)
-        elif key.startswith("ddqn.lr."):
-            f = key[len("ddqn.lr."):]
-            if f not in LrSchedule.__dataclass_fields__:
-                raise ConfigError(f"unknown config key {key!r}")
-            lr[f] = _parse_scalar(raw)
-        elif key.startswith("ddqn."):
-            f = key[5:]
-            if f not in DdqnConfig.__dataclass_fields__ or f in ("epsilon", "lr"):
-                raise ConfigError(f"unknown config key {key!r}")
-            ddqn[f] = _parse_scalar(raw)
-        elif key.startswith("reward."):
-            f = key[7:]
-            if f not in RewardConfig.__dataclass_fields__:
-                raise ConfigError(f"unknown config key {key!r}")
-            reward[f] = _parse_scalar(raw)
-        elif key == "net.hidden_dims":
-            net_hidden = _ints(raw)
-        elif key == "vsl.period_steps":
-            vsl_period = int(raw)
-        elif key == "vsl.rules":
-            # "15:30, 8:20, 0:13"  (threshold:limit, decreasing thresholds)
-            rules = []
-            for part in str(raw).split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                thr, _, lim = part.partition(":")
-                rules.append(VslRule(float(thr), float(lim)))
-            vsl_rules = tuple(rules)
-        else:
+    Each value parses as the type of its field's default value.  Unknown
+    keys, malformed values and values the config classes reject fail here.
+    """
+    updates = {}
+    for key, text in kv.items():
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-
-    if idm:
-        c.idm = replace(c.idm, **idm)
-    eps_s = replace(EpsilonSchedule(), **eps) if eps else c.ddqn.epsilon
-    lr_s = replace(LrSchedule(), **lr) if lr else c.ddqn.lr
-    if ddqn or eps or lr:
-        c.ddqn = replace(c.ddqn, epsilon=eps_s, lr=lr_s, **ddqn)
-    if reward:
-        c.reward = replace(c.reward, **reward)
-    if net_hidden is not None:
-        c.net_spec = MlpSpec(hidden_dims=net_hidden)
-    if vsl_rules is not None or vsl_period is not None:
-        c.vsl = VslPolicy(
-            rules=c.vsl.rules if vsl_rules is None else vsl_rules,
-            period_steps=c.vsl.period_steps if vsl_period is None else vsl_period,
-        )
-    return c
+        path = _KEYS[key]
+        try:
+            updates[path] = _parse(_get(_DEFAULTS, path), text)
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from None
+    try:
+        return _with(ScenarioConfig(), updates)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def config_to_kv(c):
-    """Serialize a ScenarioConfig to the flat dotted-key text format."""
-    lines = [
-        f"sim.length = {c.length:g}",
-        f"sim.dt = {c.dt:g}",
-        f"scenario.load_target = {c.load_target}",
-        "scenario.removal_schedule = "
-        + ",".join(str(x) for x in c.removal_schedule),
-        f"scenario.removal_seed = {c.removal_seed}",
-        f"scenario.cav_count = {c.cav_count}",
-        f"scenario.formation = {c.formation.value}",
-        f"scenario.max_episode_steps = {c.max_episode_steps}",
-        f"scenario.speed_jitter = {c.speed_jitter:g}",
-        f"scenario.seed = {c.seed}",
-        f"scenario.out_dir = {c.out_dir}",
-    ]
-    for f in ("v0", "T", "a_max", "b", "delta", "s0", "vehicle_length"):
-        lines.append(f"idm.{f} = {getattr(c.idm, f):g}")
-    d = c.ddqn
-    for f in ("gamma", "batch_size", "episodes", "total_train_steps",
-              "target_sync_period", "min_buffer_before_learning",
-              "replay_capacity", "seed"):
-        lines.append(f"ddqn.{f} = {getattr(d, f):g}")
-    lines += [
-        f"ddqn.epsilon.start = {d.epsilon.start:g}",
-        f"ddqn.epsilon.end = {d.epsilon.end:g}",
-        f"ddqn.epsilon.decay_steps = {d.epsilon.decay_steps}",
-        f"ddqn.lr.base = {d.lr.base:g}",
-        f"ddqn.lr.final = {d.lr.final:g}",
-        f"ddqn.lr.total_steps = {d.lr.total_steps}",
-        f"reward.collision_penalty = {c.reward.collision_penalty:g}",
-        f"reward.success_bonus = {c.reward.success_bonus:g}",
-        "reward.success_terminates = "
-        + str(c.reward.success_terminates).lower(),
-        "net.hidden_dims = " + ",".join(str(x) for x in c.net_spec.hidden_dims),
-        f"vsl.period_steps = {c.vsl.period_steps}",
-        "vsl.rules = "
-        + ", ".join(f"{r.min_mean_speed:g}:{r.limit:g}" for r in c.vsl.rules),
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize a ScenarioConfig to the flat dotted-key text format;
+    integers are written plainly and floats exactly (``repr``)."""
+    return "".join(f"{key} = {_format(_get(c, path))}\n"
+                   for key, path in _KEYS.items())
 
 
 def load_config(path):

@@ -254,7 +254,7 @@ class TrainResult:
                 )
 
 
-def train(env, config, spec=None, checkpoint_every=0, checkpoint_dir=None):
+def train(env, config, spec=None):
     """Run the DDQN loop; fully deterministic for a given config seed.
 
     ``env`` is anything with reset()/step()/n_actions/state_dim.  Timeout
@@ -319,46 +319,37 @@ def train(env, config, spec=None, checkpoint_every=0, checkpoint_dir=None):
             EpisodeRecord(ep, steps=steps, cumulative_reward=total,
                           collided=collided, succeeded=succeeded)
         )
-        if checkpoint_every and checkpoint_dir and (ep + 1) % checkpoint_every == 0:
-            qnet.save_checkpoint(
-                online, adam, f"{checkpoint_dir}/checkpoint_ep{ep + 1:05d}.bin"
-            )
     return TrainResult(network=online, adam=adam, episodes=records,
                        total_steps=global_step)
+
+
+def greedy_controller(policy, speed_normalizer):
+    """A ``ring.rollout`` control that broadcasts the policy's greedy command
+    for the normalized mean speed to every CAV (centralized execution)."""
+
+    def control(t, ring):
+        state = ring.mean_speed() / speed_normalizer
+        q = qnet.forward(policy, np.array([state]))
+        return ACTION_ACCELS[select_action(q, 0.0, None)], None
+
+    return control
 
 
 def evaluate(policy, env_spec, steps, record_trajectory=False):
     """Greedy rollout of a trained policy for a fixed number of steps.
 
     Returns ``(FdTrace, TrajectoryRecorder | None)``.  A collision ends the
-    rollout early (the ring is physically terminal).
+    rollout early (the ring is physically terminal); success does not.
     """
-    # success must not cut the rollout short; only a collision is terminal
-    eval_spec = EnvSpec(
-        snapshot=env_spec.snapshot,
-        success_flow_threshold=env_spec.success_flow_threshold,
-        max_episode_steps=max(steps, 1),
-        speed_normalizer=env_spec.speed_normalizer,
-        reward=RewardConfig(
-            collision_penalty=env_spec.reward.collision_penalty,
-            success_bonus=env_spec.reward.success_bonus,
-            success_terminates=False,
-        ),
-    )
-    env = RingEnv(eval_spec)
     rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
     traj = ringmod.TrajectoryRecorder() if record_trajectory else None
-    if steps <= 0:
-        return rec.finish(), traj
-    s = env.reset()
-    rng = np.random.default_rng(0)  # unused at epsilon 0
-    for _ in range(steps):
-        q = qnet.forward(policy, np.array([s]))
-        a = select_action(q, 0.0, rng)
-        s, _, done, info = env.step(a)
-        rec.record(env.ring)
+
+    def observe(ring):
+        rec.record(ring)
         if traj is not None:
-            traj.record(env.ring)
-        if done:
-            break
+            traj.record(ring)
+
+    ringmod.rollout(env_spec.snapshot, steps,
+                    greedy_controller(policy, env_spec.speed_normalizer),
+                    observe)
     return rec.finish(), traj

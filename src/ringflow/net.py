@@ -66,11 +66,6 @@ class QNetwork:
         for b, ob in zip(self.biases, other.biases):
             np.copyto(b, ob)
 
-    def all_finite(self):
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
-
 
 def init_network(spec, seed=0):
     """He-scaled normal weights (variance 2/fan_in), zero biases."""

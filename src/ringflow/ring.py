@@ -170,8 +170,11 @@ def step(ring, cav_accel=0.0, v_desired=None):
     Humans get IDM accelerations against their current leaders; every CAV gets
     ``cav_accel``.  ``v_desired``, when given, caps the IDM desired speed
     (speed-limit control).  Returns ``(new_ring, CollisionReport | None)``;
-    a collision marks the returned ring terminal.
+    a collision marks the returned ring terminal, and a terminal ring cannot
+    be stepped again.
     """
+    if ring.terminal:
+        raise ValueError("cannot step a terminal ring (it has collided)")
     out = ring.copy()
     p = out.params
     n = out.n
@@ -214,6 +217,29 @@ def step(ring, cav_accel=0.0, v_desired=None):
             )
             out.terminal = True
     return out, report
+
+
+def rollout(ring, steps, control=None, observe=None):
+    """Step the ring up to ``steps`` times, stopping after a collision.
+
+    ``control(t, ring)``, called before step ``t`` (0-based within this
+    rollout), returns ``(cav_accel, v_desired)`` for that step; without it
+    humans drive with no speed limit and CAVs get a zero command (all-human
+    runs revert the CAVs first).  ``observe(ring)`` sees every new state.
+    Returns ``(final_ring, CollisionReport | None)``; with ``steps <= 0``
+    the final ring is ``ring`` itself.
+    """
+    report = None
+    for t in range(steps):
+        if control is None:
+            ring, report = step(ring)
+        else:
+            ring, report = step(ring, *control(t, ring))
+        if observe is not None:
+            observe(ring)
+        if report is not None:
+            break
+    return ring, report
 
 
 def _try_insert(ring, forced=False):

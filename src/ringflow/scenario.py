@@ -6,14 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import metrics
-from .dqn import EnvSpec, RewardConfig
-from .idm import IdmParams
+from .dqn import EnvSpec
 from .ring import (
     RandomRemoval,
     RingState,
     apply_formation,
     load_vehicles,
     remove_vehicles,
+    rollout,
 )
 
 
@@ -26,7 +26,7 @@ class BuiltScenario:
     success_flow_threshold: float
 
 
-def build_scenario(config, settle_steps=0):
+def build_scenario(config):
     """Load to target density, remove per schedule, mark CAVs, capture the
     success threshold (peak loading flow) into an EnvSpec."""
     ring = RingState(
@@ -42,15 +42,6 @@ def build_scenario(config, settle_steps=0):
         ring = remove_vehicles(
             ring, count, RandomRemoval(config.removal_seed + i)
         )
-    # optional all-human settling so the departure transient is comparable
-    # across episodes; formation is applied to the settled ring
-    if settle_steps:
-        from .ring import step as ring_step
-
-        for _ in range(settle_steps):
-            ring, report = ring_step(ring)
-            if report is not None:
-                raise RuntimeError(f"collision while settling scenario: {report}")
     ring = apply_formation(ring, config.cav_count, config.formation)
 
     threshold = metrics.peak_flow(loading_trace).flow
@@ -77,26 +68,18 @@ def unload_incrementally(ring, removal_seed=0, steps_between=30,
     stepping the ring between departures; returns the unloading FdTrace.
 
     When a speed-limit ``vsl`` policy is given, the active limit caps the
-    desired speed of every driver, re-evaluated on the policy's period.
+    desired speed of every driver, refreshed by the policy's rule over the
+    whole unloading.
     """
     rec = metrics.TraceRecorder(metrics.Phase.UNLOADING)
-    from .ring import step as ring_step
-
+    control = None if vsl is None else vsl.controller(ring.params.v0)
     k = 0
-    t = 0
-    limit = None
     while ring.n > stop_at:
         ring = remove_vehicles(ring, 1, RandomRemoval(removal_seed + k))
         k += 1
-        for _ in range(steps_between):
-            if vsl is not None and (limit is None
-                                    or t % vsl.period_steps == 0):
-                limit = vsl.active_limit(ring.mean_speed(), ring.params.v0)
-            t += 1
-            ring, report = ring_step(ring, v_desired=limit)
-            rec.record(ring)
-            if report is not None:
-                return ring, rec.finish()
+        ring, report = rollout(ring, steps_between, control, rec.record)
+        if report is not None:
+            break
     return ring, rec.finish()
 
 

@@ -16,7 +16,9 @@ from ringflow import (
     run_idm_recovery,
     run_switch_back,
     run_vsl,
+    unload_incrementally,
 )
+from ringflow import ring as ringmod
 
 from conftest import make_ring
 
@@ -46,6 +48,11 @@ def test_thresholds_must_strictly_decrease():
         VslPolicy(rules=(VslRule(8.0, 20.0), VslRule(15.0, 30.0)))
     with pytest.raises(ValueError):
         VslPolicy(rules=(VslRule(8.0, 20.0), VslRule(8.0, 13.0)))
+
+
+def test_period_must_be_positive():
+    with pytest.raises(ValueError):
+        VslPolicy(period_steps=0)
 
 
 def test_no_rules_never_restricts():
@@ -96,6 +103,33 @@ def test_active_limit_caps_speeds():
     assert trace.samples()[-1].mean_speed < 10.5
 
 
+def test_limit_refresh_period_runs_across_removals(monkeypatch):
+    # 12 slow, widely spaced vehicles accelerate, so the mean speed crosses
+    # a threshold of this fine rule table every few steps
+    policy = VslPolicy(
+        rules=tuple(VslRule(k / 4, 10.0 + k / 4) for k in range(40, -1, -1)),
+        period_steps=7,
+    )
+    ring = make_ring([i * 1000.0 / 12 for i in range(12)], [2.0] * 12)
+    calls = []  # (ring before the step, limit applied to the step)
+    real_step = ringmod.step
+
+    def spy(r, cav_accel=0.0, v_desired=None):
+        calls.append((r, v_desired))
+        return real_step(r, cav_accel, v_desired)
+
+    monkeypatch.setattr(ringmod, "step", spy)
+    # 4 removals of 5 steps each: the limit is evaluated before steps 0, 7
+    # and 14 of the unloading, not at every removal
+    unload_incrementally(ring, steps_between=5, stop_at=8, vsl=policy)
+    assert len(calls) == 20
+    limits = [limit for _, limit in calls]
+    for i, limit in enumerate(limits):
+        evaluated_on = calls[i - i % 7][0]
+        assert limit == policy.active_limit(evaluated_on.mean_speed(), 30.0)
+    assert len(set(limits)) == 3
+
+
 # ---------------------------------------------------------------- peak
 
 
@@ -123,6 +157,13 @@ def test_switch_back_zero_extra_steps_single_sample():
     assert len(res.cav_trace.samples()) == 1
     assert len(res.reverted_trace.samples()) == 1
     assert res.cav_trace.flow[0] == pytest.approx(res.reverted_trace.flow[0])
+
+
+def test_switch_back_needs_a_search_step():
+    ring, _ = _equilibrium_ring()
+    spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
+    with pytest.raises(ValueError):
+        run_switch_back(_coast_policy(), spec, extra_steps=10, search_steps=0)
 
 
 def test_switch_back_equilibrium_is_indistinguishable():

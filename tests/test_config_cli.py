@@ -59,6 +59,49 @@ def test_kv_round_trip():
     assert c2 == c
 
 
+def _assert_same_typed(a, b, where="config"):
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same_typed(getattr(a, f.name), getattr(b, f.name),
+                               f"{where}.{f.name}")
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_typed(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where
+
+
+def test_kv_round_trip_keeps_exact_types():
+    big = ScenarioConfig()
+    big = dataclasses.replace(big, seed=0, ddqn=dataclasses.replace(
+        big.ddqn, replay_capacity=1_000_000, gamma=0.123456789, seed=0))
+    for c in (ScenarioConfig(), big):
+        _assert_same_typed(c, config_from_kv(parse_kv(config_to_kv(c))))
+
+
+def test_values_parse_by_field_type():
+    c = config_from_kv({"ddqn.seed": "0", "scenario.cav_count": "1",
+                        "sim.length": "250", "reward.success_terminates": "no"})
+    assert type(c.ddqn.seed) is int and c.ddqn.seed == 0
+    assert type(c.cav_count) is int and c.cav_count == 1
+    assert type(c.length) is float and c.length == 250.0
+    assert c.reward.success_terminates is False
+    for key, value in (("ddqn.replay_capacity", "1e+06"),
+                       ("reward.success_terminates", "2")):
+        with pytest.raises(ConfigError):
+            config_from_kv({key: value})
+
+
+def test_vsl_period_of_zero_is_rejected_at_load(tmp_path):
+    with pytest.raises(ConfigError):
+        config_from_kv({"vsl.period_steps": "0"})
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("vsl.period_steps = 0\n")
+    assert cli_main(["compare", "--config", str(cfgfile)]) == 1
+
+
 def test_unknown_key_fails_fast():
     with pytest.raises(ConfigError):
         config_from_kv({"idm.warp_drive": "1"})
@@ -109,6 +152,14 @@ def test_cli_bad_config_key_exit_code(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("sim.bogus = 1\n")
     code = cli_main(["hysteresis", "--config", str(cfgfile)])
+    assert code == 1
+
+
+def test_cli_config_and_preset_are_exclusive(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("scenario.load_target = 10\n")
+    code = cli_main(["hysteresis", "--config", str(cfgfile),
+                     "--preset", "mpr33", "--out", str(tmp_path)])
     assert code == 1
 
 

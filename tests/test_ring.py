@@ -123,6 +123,53 @@ def test_step_determinism():
     np.testing.assert_array_equal(a.speeds, b.speeds)
 
 
+def test_terminal_ring_cannot_be_stepped():
+    r = make_ring([0.0, 6.0], [30.0, 0.0], cavs=[True, False])
+    r, report = ringmod.step(r, cav_accel=0.0)
+    assert report is not None and r.terminal
+    with pytest.raises(ValueError):
+        ringmod.step(r)
+
+
+# ---------------------------------------------------------------- rollout
+
+
+def test_rollout_matches_stepping_by_hand():
+    start = make_ring([0.0, 300.0, 700.0], [5.0, 10.0, 20.0],
+                      cavs=[True, False, False])
+
+    def control(t, ring):
+        return (1.0 if t % 3 else -1.0), 25.0 - 0.05 * t
+
+    seen = []
+    end, report = ringmod.rollout(start, 100, control, seen.append)
+    assert report is None and len(seen) == 100 and end is seen[-1]
+    r = start
+    for t in range(100):
+        r, _ = ringmod.step(r, *control(t, r))
+        np.testing.assert_array_equal(seen[t].positions, r.positions)
+        np.testing.assert_array_equal(seen[t].speeds, r.speeds)
+    assert start.step_count == 0
+
+
+def test_rollout_without_control_has_no_command_and_no_limit():
+    r = make_ring([0.0, 300.0, 700.0], [5.0, 10.0, 20.0])
+    end, _ = ringmod.rollout(r, 50)
+    by_hand = r
+    for _ in range(50):
+        by_hand, _ = ringmod.step(by_hand)
+    np.testing.assert_array_equal(end.speeds, by_hand.speeds)
+
+
+def test_rollout_stops_after_collision():
+    r = make_ring([0.0, 6.0], [30.0, 0.0], cavs=[True, False])
+    seen = []
+    end, report = ringmod.rollout(r, 50, lambda t, ring: (0.0, None),
+                                  seen.append)
+    assert isinstance(report, CollisionReport) and end.terminal
+    assert seen == [end]
+
+
 # ---------------------------------------------------------------- loading
 
 
