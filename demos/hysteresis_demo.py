@@ -25,7 +25,7 @@ def main():
     out = sys.argv[1] if len(sys.argv) > 1 else "."
     os.makedirs(out, exist_ok=True)
     c = ScenarioConfig()
-    ring = RingState(c.length, c.dt, c.idm, c.seed)
+    ring = RingState(c.length, c.dt, c.idm)
     print(f"loading {c.load_target} vehicles onto a {c.length:.0f} m loop...")
     ring, loading = load_vehicles(ring, c.load_target)
     peak = peak_flow(loading)

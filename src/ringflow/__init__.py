@@ -11,9 +11,7 @@ from .ring import (
     CapacityError,
     CollisionReport,
     NoLeaderError,
-    EveryKthRemoval,
     FormationStrategy,
-    RandomRemoval,
     RingState,
     VehicleKind,
     VehicleState,

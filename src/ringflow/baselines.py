@@ -9,6 +9,9 @@ import numpy as np
 
 from . import dqn, metrics, ring as ringmod
 
+PEAK_WINDOW = 100
+PEAK_FRACTION = 0.99
+
 
 @dataclass(frozen=True)
 class VslRule:
@@ -117,15 +120,16 @@ def _smoothed(x, window):
     return np.convolve(x, kernel, mode="valid")
 
 
-def find_flow_peak_step(flows, window=100, fraction=0.99):
-    """First step whose smoothed flow reaches ``fraction`` of the rollout's
-    smoothed maximum (window-averaged to ignore single-step spikes)."""
-    sm = _smoothed(np.asarray(flows, dtype=float), window)
+def find_flow_peak_step(flows):
+    """First step whose smoothed flow reaches ``PEAK_FRACTION`` of the
+    rollout's smoothed maximum (``PEAK_WINDOW``-averaged to ignore
+    single-step spikes)."""
+    sm = _smoothed(np.asarray(flows, dtype=float), PEAK_WINDOW)
     if len(sm) == 0:
         return 0
-    target = fraction * sm.max()
+    target = PEAK_FRACTION * sm.max()
     i = int(np.argmax(sm >= target))
-    return i + (window - 1 if len(flows) >= window else 0)
+    return i + (PEAK_WINDOW - 1 if len(flows) >= PEAK_WINDOW else 0)
 
 
 @dataclass
@@ -136,8 +140,7 @@ class SwitchBackResult:
     reverted_trace: metrics.FdTrace
 
 
-def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000,
-                    peak_window=100):
+def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
     """Roll the CAV policy to its flow peak, then compare keeping CAV control
     against reverting everyone to human driving for ``extra_steps``.
 
@@ -145,13 +148,13 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000,
     """
     if search_steps < 1:
         raise ValueError("search_steps must be >= 1")
-    greedy = dqn.greedy_controller(policy, env_spec.speed_normalizer)
+    greedy = dqn.greedy_controller(policy)
     # every state of the search rollout is a fresh ring, so keeping them all
     # lets the snapshot be taken at the peak without rolling out again
     rings = []
     ringmod.rollout(env_spec.snapshot, search_steps, greedy, rings.append)
     flows = [metrics.measure(r).flow for r in rings]
-    peak_step = find_flow_peak_step(flows, window=peak_window)
+    peak_step = find_flow_peak_step(flows)
     snap = rings[peak_step]
 
     if extra_steps == 0:

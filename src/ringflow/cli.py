@@ -33,18 +33,13 @@ def _load_config(args):
         config = cfg.preset(args.preset)
     else:
         config = cfg.ScenarioConfig()
-    config = cfg.apply_profile(config, args.profile)
-    if args.seed is not None:
-        config = replace(
-            config, seed=args.seed, ddqn=replace(config.ddqn, seed=args.seed)
-        )
-    return config
+    return cfg.apply_profile(config, args.profile)
 
 
 def cmd_hysteresis(args):
     config = _load_config(args)
     out = _out_dir(args, config)
-    r = ring.RingState(config.length, config.dt, config.idm, config.seed)
+    r = ring.RingState(config.length, config.dt, config.idm)
     r, loading = ring.load_vehicles(r, config.load_target)
     _, unloading = scen.unload_incrementally(
         r, removal_seed=config.removal_seed
@@ -62,6 +57,8 @@ def cmd_hysteresis(args):
 
 def cmd_train(args):
     config = _load_config(args)
+    if args.seed is not None:
+        config = replace(config, ddqn=replace(config.ddqn, seed=args.seed))
     out = _out_dir(args, config)
     built = scen.build_scenario(config)
     ring.save_snapshot(built.post_removal_ring, os.path.join(out, "snapshot.json"))
@@ -80,7 +77,8 @@ def cmd_train(args):
         chart.write(os.path.join(out, "reward.svg"))
         print(f"trained {len(rewards)} episodes / {result.total_steps} steps; "
               f"final-10 mean reward {rewards[-10:].mean():.1f}")
-    print(f"success flow threshold {built.success_flow_threshold:.1f} veh/h")
+    print(f"success flow threshold "
+          f"{built.env_spec.success_flow_threshold:.1f} veh/h")
     print(f"wrote checkpoint and traces under {out}")
     return 0
 
@@ -108,9 +106,10 @@ def cmd_evaluate(args):
     svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
         os.path.join(out, "trajectories.svg"))
     if len(trace):
-        exceeded = bool((trace.flow > built.success_flow_threshold).any())
+        threshold = built.env_spec.success_flow_threshold
+        exceeded = bool((trace.flow > threshold).any())
         print(f"max flow {trace.flow.max():.1f} veh/h "
-              f"(threshold {built.success_flow_threshold:.1f}, "
+              f"(threshold {threshold:.1f}, "
               f"exceeded: {exceeded})")
     print(f"wrote evaluation outputs under {out}")
     return 0
@@ -191,11 +190,9 @@ def build_parser():
     def common(sp, steps_default=None):
         source = sp.add_mutually_exclusive_group()
         source.add_argument("--config", help="key = value config file")
-        source.add_argument("--preset", choices=["mpr33", "mpr15", "mpr66",
-                                                 "two-step"])
-        sp.add_argument("--seed", type=int, default=None)
+        source.add_argument("--preset", choices=list(cfg.PRESETS))
         sp.add_argument("--out", help=f"output dir (or ${ENV_OUT_ROOT})")
-        sp.add_argument("--profile", choices=["full", "desk"], default="full")
+        sp.add_argument("--profile", choices=cfg.PROFILES, default="full")
         if steps_default is not None:
             sp.add_argument("--steps", type=int, default=steps_default)
 
@@ -205,6 +202,8 @@ def build_parser():
 
     sp = sub.add_parser("train", help="train the DDQN controller")
     common(sp)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="DDQN seed (sets ddqn.seed)")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="greedy rollout of a checkpoint")

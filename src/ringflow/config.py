@@ -38,29 +38,27 @@ class ScenarioConfig:
     vsl: VslPolicy = field(default_factory=default_vsl_policy)
     max_episode_steps: int = 3000
     speed_jitter: float = 0.0
-    seed: int = 0
     out_dir: str = "out"
 
 
+# Named scenario presets mirroring the experiment suite, as the fields they
+# change from the defaults.
+PRESETS = {
+    "mpr33": dict(removal_schedule=(17,), cav_count=17,
+                  formation=FormationStrategy.PLATOON),
+    "mpr15": dict(removal_schedule=(9,), cav_count=9),
+    "mpr66": dict(removal_schedule=(17,), cav_count=34),
+    "two-step": dict(removal_schedule=(17, 12), cav_count=13),
+}
+
+PROFILES = ("full", "desk")
+
+
 def preset(name):
-    """Named scenario presets mirroring the experiment suite."""
-    base = ScenarioConfig()
-    presets = {
-        "mpr33": replace(
-            base,
-            removal_schedule=(17,),
-            cav_count=17,
-            formation=FormationStrategy.PLATOON,
-        ),
-        "mpr15": replace(base, removal_schedule=(9,), cav_count=9),
-        "mpr66": replace(base, removal_schedule=(17,), cav_count=34),
-        "two-step": replace(base, removal_schedule=(17, 12), cav_count=13),
-    }
-    if name not in presets:
-        raise ConfigError(
-            f"unknown preset {name!r} (have {sorted(presets)})"
-        )
-    return presets[name]
+    """The default config with the fields of preset ``name`` changed."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
+    return replace(ScenarioConfig(), **PRESETS[name])
 
 
 def apply_profile(config, profile):
@@ -82,7 +80,7 @@ def apply_profile(config, profile):
             ),
             max_episode_steps=600,
         )
-    raise ConfigError(f"unknown profile {profile!r} (full or desk)")
+    raise ConfigError(f"unknown profile {profile!r} (have {PROFILES})")
 
 
 # -- key = value (de)serialization ---------------------------------------
@@ -150,7 +148,11 @@ def _format(value):
         return repr(float(value))
     if isinstance(value, Enum):
         return value.value
-    return str(value)
+    text = str(value)
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ConfigError(f"cannot write {text!r}: a value is one line with "
+                          "no '#' and no space at either end")
+    return text
 
 
 def _with(obj, updates):
@@ -209,7 +211,8 @@ def config_from_kv(kv):
 
 def config_to_kv(c):
     """Serialize a ScenarioConfig to the flat dotted-key text format;
-    integers are written plainly and floats exactly (``repr``)."""
+    integers are written plainly and floats exactly (``repr``).  A value
+    that would not read back as written is a ``ConfigError``."""
     return "".join(f"{key} = {_format(_get(c, path))}\n"
                    for key, path in _KEYS.items())
 

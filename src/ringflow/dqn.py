@@ -107,13 +107,18 @@ class EnvSpec:
     snapshot: ringmod.RingState
     success_flow_threshold: float
     max_episode_steps: int = 3000
-    speed_normalizer: float = 30.0
     reward: RewardConfig = field(default_factory=RewardConfig)
     speed_jitter: float = 0.0  # relative, e.g. 0.05 for +-5%
 
     def __post_init__(self):
         if self.success_flow_threshold <= 0:
             raise ValueError("success_flow_threshold must be > 0")
+
+
+def observation(ring):
+    """The controller's one input: the loop-average speed over the desired
+    speed ``v0``."""
+    return ring.mean_speed() / ring.params.v0
 
 
 class EnvTerminatedError(RuntimeError):
@@ -134,9 +139,6 @@ class RingEnv:
         self._steps = 0
         self._succeeded = False
 
-    def _state(self):
-        return self.ring.mean_speed() / self.spec.speed_normalizer
-
     def reset(self):
         self.ring = self.spec.snapshot.copy()
         if self.spec.speed_jitter > 0.0 and self.ring.n:
@@ -148,7 +150,7 @@ class RingEnv:
         self._done = False
         self._steps = 0
         self._succeeded = False
-        return self._state()
+        return observation(self.ring)
 
     def step(self, action_index):
         """Broadcast the commanded acceleration to all CAVs for one time step.
@@ -190,7 +192,7 @@ class RingEnv:
             "success": success,
             "truncated": truncated,
         }
-        return self._state(), reward, self._done, info
+        return observation(self.ring), reward, self._done, info
 
 
 def ddqn_targets(batch, online, target, gamma):
@@ -323,13 +325,12 @@ def train(env, config, spec=None):
                        total_steps=global_step)
 
 
-def greedy_controller(policy, speed_normalizer):
+def greedy_controller(policy):
     """A ``ring.rollout`` control that broadcasts the policy's greedy command
-    for the normalized mean speed to every CAV (centralized execution)."""
+    for the ring's ``observation`` to every CAV (centralized execution)."""
 
     def control(t, ring):
-        state = ring.mean_speed() / speed_normalizer
-        q = qnet.forward(policy, np.array([state]))
+        q = qnet.forward(policy, np.array([observation(ring)]))
         return ACTION_ACCELS[select_action(q, 0.0, None)], None
 
     return control
@@ -349,7 +350,6 @@ def evaluate(policy, env_spec, steps, record_trajectory=False):
         if traj is not None:
             traj.record(ring)
 
-    ringmod.rollout(env_spec.snapshot, steps,
-                    greedy_controller(policy, env_spec.speed_normalizer),
+    ringmod.rollout(env_spec.snapshot, steps, greedy_controller(policy),
                     observe)
     return rec.finish(), traj

@@ -8,7 +8,7 @@ ring order, so the leader of index i is index (i+1) % n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,6 +18,10 @@ from . import metrics
 
 SNAPSHOT_FORMAT = "ringflow-snapshot"
 SNAPSHOT_VERSION = 1
+
+LOAD_COOLDOWN_STEPS = 600
+LOAD_PATIENCE_STEPS = 1800
+LOAD_MAX_STEPS = 400_000
 
 
 class VehicleKind(Enum):
@@ -57,13 +61,12 @@ class RingState:
     is array-of-columns in cyclic ring order.
     """
 
-    def __init__(self, length=1000.0, dt=0.1, params=None, rng_seed=0):
+    def __init__(self, length=1000.0, dt=0.1, params=None):
         if length <= 0 or dt <= 0:
             raise ValueError("length and dt must be positive")
         self.length = float(length)
         self.dt = float(dt)
         self.params = params if params is not None else IdmParams()
-        self.rng_seed = int(rng_seed)
         self.step_count = 0
         self.terminal = False
         self._ids = np.empty(0, dtype=np.int64)
@@ -116,7 +119,7 @@ class RingState:
         ]
 
     def copy(self):
-        out = RingState(self.length, self.dt, self.params, self.rng_seed)
+        out = RingState(self.length, self.dt, self.params)
         out.step_count = self.step_count
         out.terminal = self.terminal
         out._ids = self._ids.copy()
@@ -271,15 +274,15 @@ def _try_insert(ring, forced=False):
     return False
 
 
-def load_vehicles(ring, target_count, cooldown_steps=600, patience_steps=1800,
-                  max_steps=400_000):
+def load_vehicles(ring, target_count):
     """Grow the ring to ``target_count`` vehicles, one insertion at a time.
 
-    At most one insertion per ``cooldown_steps`` so the stream relaxes toward
-    equilibrium between entries; when no no-braking slot appears within
-    ``patience_steps`` past the cooldown, a forced entry is taken.  The whole
-    loading phase is measured every step.  Returns
-    ``(loaded_ring, loading FdTrace)``.
+    At most one insertion per ``LOAD_COOLDOWN_STEPS`` so the stream relaxes
+    toward equilibrium between entries; when no no-braking slot appears
+    within ``LOAD_PATIENCE_STEPS`` past the cooldown, a forced entry is
+    taken, and ``CapacityError`` ends a loading that has not finished after
+    ``LOAD_MAX_STEPS``.  The whole loading phase is measured every step.
+    Returns ``(loaded_ring, loading FdTrace)``.
     """
     p = ring.params
     capacity = int(ring.length // (p.s0 + p.vehicle_length))
@@ -292,15 +295,15 @@ def load_vehicles(ring, target_count, cooldown_steps=600, patience_steps=1800,
     if target_count <= out.n:
         return out, rec.finish()
     steps = 0
-    since_insert = cooldown_steps
+    since_insert = LOAD_COOLDOWN_STEPS
     while out.n < target_count:
-        if steps >= max_steps:
+        if steps >= LOAD_MAX_STEPS:
             raise CapacityError(
                 f"loading stalled at {out.n}/{target_count} vehicles "
-                f"after {max_steps} steps"
+                f"after {LOAD_MAX_STEPS} steps"
             )
-        if since_insert >= cooldown_steps:
-            forced = since_insert >= cooldown_steps + patience_steps
+        if since_insert >= LOAD_COOLDOWN_STEPS:
+            forced = since_insert >= LOAD_COOLDOWN_STEPS + LOAD_PATIENCE_STEPS
             if _try_insert(out, forced=forced):
                 since_insert = 0
         out, report = step(out)
@@ -312,41 +315,16 @@ def load_vehicles(ring, target_count, cooldown_steps=600, patience_steps=1800,
     return out, rec.finish()
 
 
-class RandomRemoval:
-    """Remove uniformly random vehicles, deterministic per seed."""
-
-    def __init__(self, seed):
-        self.seed = int(seed)
-
-    def pick(self, ring, count):
-        rng = np.random.default_rng(self.seed)
-        return rng.choice(ring.n, size=count, replace=False)
-
-
-class EveryKthRemoval:
-    """Remove every k-th vehicle in ring order."""
-
-    def __init__(self, k):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
-
-    def pick(self, ring, count):
-        idx = np.arange(0, ring.n, self.k)[:count]
-        if len(idx) < count:
-            rest = np.setdiff1d(np.arange(ring.n), idx)
-            idx = np.concatenate([idx, rest[: count - len(idx)]])
-        return idx
-
-
-def remove_vehicles(ring, count, policy):
-    """Delete ``count`` vehicles per ``policy``; remaining ring order preserved."""
+def remove_vehicles(ring, count, seed):
+    """Delete ``count`` uniformly random vehicles, the same ones for the same
+    ``seed``; the remaining ring order is preserved."""
     if count >= ring.n:
         raise ValueError(f"cannot remove {count} of {ring.n} vehicles")
     out = ring.copy()
     if count == 0:
         return out
-    drop = np.sort(np.asarray(policy.pick(out, count)))
+    drop = np.sort(np.random.default_rng(seed).choice(out.n, count,
+                                                      replace=False))
     keep = np.setdiff1d(np.arange(out.n), drop)
     for name in ("_ids", "_cav", "_pos", "_v", "_a"):
         setattr(out, name, getattr(out, name)[keep])
@@ -408,7 +386,6 @@ def snapshot_to_json(ring):
         "length": ring.length,
         "dt": ring.dt,
         "step_count": ring.step_count,
-        "rng_seed": ring.rng_seed,
         "terminal": ring.terminal,
         "next_id": ring._next_id,
         "idm": {
@@ -435,29 +412,50 @@ def snapshot_to_json(ring):
 
 
 def snapshot_from_json(text):
+    """Read a snapshot document back into a ring.  ``ValueError`` if a field
+    is missing, a number is not finite, ids repeat or reach ``next_id``, a
+    kind is unknown, positions leave [0, length) or cyclic ring order, or
+    speeds leave [0, v0].  Other keys, such as the unused seed that older
+    versions wrote, are ignored.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"corrupt ring snapshot: {e}") from e
-    if doc.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError("not a ring snapshot document")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc.get('version')}")
-    ring = RingState(
-        length=doc["length"],
-        dt=doc["dt"],
-        params=IdmParams(**doc["idm"]),
-        rng_seed=doc["rng_seed"],
-    )
-    ring.step_count = doc["step_count"]
-    ring.terminal = doc["terminal"]
-    ring._next_id = doc["next_id"]
-    vs = doc["vehicles"]
-    ring._ids = np.array([v["id"] for v in vs], dtype=np.int64)
-    ring._cav = np.array([v["kind"] == "cav" for v in vs], dtype=bool)
-    ring._pos = np.array([v["position"] for v in vs], dtype=np.float64)
-    ring._v = np.array([v["speed"] for v in vs], dtype=np.float64)
-    ring._a = np.array([v["last_accel"] for v in vs], dtype=np.float64)
+    try:
+        ring = RingState(doc["length"], doc["dt"], IdmParams(**doc["idm"]))
+        ring.step_count = doc["step_count"]
+        ring.terminal = doc["terminal"]
+        ring._next_id = int(doc["next_id"])
+        vs = doc["vehicles"]
+        ring._ids = np.array([v["id"] for v in vs], dtype=np.int64)
+        ring._cav = np.array([VehicleKind(v["kind"]) is VehicleKind.CAV
+                              for v in vs], dtype=bool)
+        ring._pos = np.array([v["position"] for v in vs], dtype=np.float64)
+        ring._v = np.array([v["speed"] for v in vs], dtype=np.float64)
+        ring._a = np.array([v["last_accel"] for v in vs], dtype=np.float64)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed ring snapshot: {e!r}") from e
+    pos, v, p = ring._pos, ring._v, ring.params
+    numbers = np.concatenate([[ring.length, ring.dt, *astuple(p)], pos, v,
+                              ring._a])
+    if not np.isfinite(numbers).all():
+        raise ValueError("ring snapshot holds a non-finite number")
+    if len(np.unique(ring._ids)) < ring.n:
+        raise ValueError("vehicle ids are not unique")
+    if ring.n and ring._next_id <= ring._ids.max():
+        raise ValueError(f"next_id {ring._next_id} is already in use")
+    if ((pos < 0.0) | (pos >= ring.length)).any():
+        raise ValueError(f"a position lies outside [0, {ring.length})")
+    descents = np.diff(pos) < 0.0  # ascending, but for one wrap-around
+    if descents.sum() > 1 or (descents.any() and pos[-1] > pos[0]):
+        raise ValueError("vehicle positions are not in ring order")
+    if ((v < 0.0) | (v > p.v0)).any():
+        raise ValueError(f"a speed lies outside [0, v0 = {p.v0}]")
     return ring
 
 

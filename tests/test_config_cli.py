@@ -5,8 +5,10 @@ import dataclasses
 import pytest
 
 from ringflow import ConfigError, ScenarioConfig, apply_profile, preset
-from ringflow.cli import main as cli_main
+from ringflow.cli import build_parser, main as cli_main
 from ringflow.config import (
+    PRESETS,
+    PROFILES,
     config_from_kv,
     config_to_kv,
     load_config,
@@ -54,7 +56,7 @@ def test_desk_profile_shrinks_the_run():
 
 def test_kv_round_trip():
     c = apply_profile(preset("mpr33"), "desk")
-    c = dataclasses.replace(c, seed=99, out_dir="elsewhere")
+    c = dataclasses.replace(c, removal_seed=99, out_dir="elsewhere")
     c2 = config_from_kv(parse_kv(config_to_kv(c)))
     assert c2 == c
 
@@ -75,10 +77,19 @@ def _assert_same_typed(a, b, where="config"):
 
 def test_kv_round_trip_keeps_exact_types():
     big = ScenarioConfig()
-    big = dataclasses.replace(big, seed=0, ddqn=dataclasses.replace(
+    big = dataclasses.replace(big, ddqn=dataclasses.replace(
         big.ddqn, replay_capacity=1_000_000, gamma=0.123456789, seed=0))
-    for c in (ScenarioConfig(), big):
+    presets = [apply_profile(preset(name), profile)
+               for name in PRESETS for profile in PROFILES]
+    for c in (ScenarioConfig(), big, *presets):
         _assert_same_typed(c, config_from_kv(parse_kv(config_to_kv(c))))
+
+
+@pytest.mark.parametrize("out_dir", ["runs/#3", "runs\n3", " runs", "runs\r"])
+def test_values_that_would_not_read_back_are_not_written(out_dir):
+    c = dataclasses.replace(ScenarioConfig(), out_dir=out_dir)
+    with pytest.raises(ConfigError):
+        config_to_kv(c)
 
 
 def test_values_parse_by_field_type():
@@ -165,6 +176,12 @@ def test_cli_config_and_preset_are_exclusive(tmp_path):
 
 def test_cli_unknown_subcommand():
     assert cli_main(["frobnicate"]) == 1
+
+
+def test_cli_seed_is_a_train_flag():
+    assert build_parser().parse_args(["train", "--seed", "3"]).seed == 3
+    for command in ("hysteresis", "evaluate", "compare"):
+        assert cli_main([command, "--seed", "1"]) == 1
 
 
 def test_cli_evaluate_requires_checkpoint(tmp_path):

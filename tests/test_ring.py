@@ -1,14 +1,14 @@
 """Ring kinematics: gaps, synchronous updates, loading, removal, formation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ringflow import (
     CollisionReport,
-    EveryKthRemoval,
     FormationStrategy,
     IdmParams,
-    RandomRemoval,
     RingState,
     VehicleKind,
     apply_formation,
@@ -203,7 +203,7 @@ def test_loading_count_and_trace_are_consistent():
 
 def test_remove_zero_is_identity():
     r = make_ring([0.0, 100.0, 200.0], [5.0, 5.0, 5.0])
-    r2 = remove_vehicles(r, 0, RandomRemoval(0))
+    r2 = remove_vehicles(r, 0, 0)
     assert r2.n == 3
     np.testing.assert_array_equal(r2.positions, r.positions)
 
@@ -212,22 +212,14 @@ def test_random_removal_counts():
     r = make_ring(
         [i * 14.0 for i in range(68)], [5.0] * 68
     )
-    assert remove_vehicles(r, 17, RandomRemoval(1)).n == 51
-    assert remove_vehicles(r, 9, RandomRemoval(1)).n == 59
+    assert remove_vehicles(r, 17, 1).n == 51
+    assert remove_vehicles(r, 9, 1).n == 59
 
 
 def test_random_removal_is_seed_deterministic():
     base = make_ring([i * 14.0 for i in range(68)], [5.0] * 68)
-    a = remove_vehicles(base, 17, RandomRemoval(7))
-    b = remove_vehicles(base, 17, RandomRemoval(7))
-    np.testing.assert_array_equal(a.positions, b.positions)
-
-
-def test_every_kth_removal_is_deterministic():
-    r = make_ring([i * 20.0 for i in range(10)], [5.0] * 10)
-    a = remove_vehicles(r, 3, EveryKthRemoval(3))
-    b = remove_vehicles(r, 3, EveryKthRemoval(3))
-    assert a.n == 7
+    a = remove_vehicles(base, 17, 7)
+    b = remove_vehicles(base, 17, 7)
     np.testing.assert_array_equal(a.positions, b.positions)
 
 
@@ -275,15 +267,64 @@ def test_formation_count_must_fit():
 # ---------------------------------------------------------------- snapshots
 
 
+def _snapshot_ring():
+    return make_ring([0.0, 250.5, 811.25], [3.0, 7.5, 0.0],
+                     cavs=[True, False, False])
+
+
 def test_snapshot_json_round_trip():
-    r = make_ring([0.0, 250.5, 811.25], [3.0, 7.5, 0.0],
-                  cavs=[True, False, False])
-    text = snapshot_to_json(r)
-    r2 = snapshot_from_json(text)
-    np.testing.assert_array_equal(r.positions, r2.positions)
-    np.testing.assert_array_equal(r.speeds, r2.speeds)
-    np.testing.assert_array_equal(r.is_cav, r2.is_cav)
-    assert r.length == r2.length and r.dt == r2.dt
+    # the second ring's last vehicle has wrapped past 0, so its positions
+    # are in ring order without being sorted
+    wrapped, _ = ringmod.step(make_ring([100.0, 500.0, 998.0],
+                                        [3.0, 7.5, 30.0]))
+    assert wrapped.positions[-1] < wrapped.positions[0]
+    for r in (_snapshot_ring(), wrapped):
+        r2 = snapshot_from_json(snapshot_to_json(r))
+        np.testing.assert_array_equal(r.positions, r2.positions)
+        np.testing.assert_array_equal(r.speeds, r2.speeds)
+        np.testing.assert_array_equal(r.is_cav, r2.is_cav)
+        np.testing.assert_array_equal(r.ids, r2.ids)
+        assert r.length == r2.length and r.dt == r2.dt
+
+
+def test_snapshot_keys_and_unread_keys_are_ignored():
+    doc = json.loads(snapshot_to_json(_snapshot_ring()))
+    assert set(doc) == {"format", "version", "length", "dt", "step_count",
+                        "terminal", "next_id", "idm", "vehicles"}
+    doc["seed"] = 7  # older versions wrote a seed that nothing read
+    r = snapshot_from_json(json.dumps(doc))
+    np.testing.assert_array_equal(r.positions, _snapshot_ring().positions)
+
+
+def _set_vehicle(i, key, value):
+    def edit(doc):
+        doc["vehicles"][i][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_vehicle(1, "id", 0),  # ids not unique
+    lambda doc: doc.update(next_id=2),  # next_id in use
+    _set_vehicle(0, "kind", "truck"),
+    _set_vehicle(1, "speed", float("nan")),
+    lambda doc: doc.update(length=float("inf")),
+    lambda doc: doc["idm"].update(T=float("nan")),
+    _set_vehicle(1, "position", 5000.0),
+    _set_vehicle(0, "position", -1.0),
+    _set_vehicle(0, "position", 300.0),  # out of ring order
+    _set_vehicle(0, "speed", -0.5),
+    _set_vehicle(0, "speed", 30.5),  # above v0
+    lambda doc: doc["vehicles"][0].pop("last_accel"),
+], ids=["duplicate-id", "next-id-in-use", "unknown-kind", "nan-speed",
+        "infinite-length", "nan-idm", "position-past-length",
+        "negative-position", "out-of-order", "negative-speed",
+        "speed-above-v0", "missing-field"])
+def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
+    doc = json.loads(snapshot_to_json(_snapshot_ring()))
+    snapshot_from_json(json.dumps(doc))  # the unedited document loads
+    edit(doc)
+    with pytest.raises(ValueError):
+        snapshot_from_json(json.dumps(doc))
 
 
 def test_snapshot_rejects_garbage():
