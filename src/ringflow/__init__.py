@@ -67,7 +67,6 @@ from .dqn import (
     ReplayBuffer,
     RewardConfig,
     RingEnv,
-    Transition,
     ddqn_targets,
     epsilon_at,
     evaluate,

@@ -27,13 +27,19 @@ def _out_dir(args, config):
 
 
 def _load_config(args):
+    """The profile's sizes, then the preset's or the file's values over them."""
+    config = cfg.apply_profile(cfg.ScenarioConfig(), args.profile)
     if args.config:
-        config = cfg.load_config(args.config)
-    elif args.preset:
-        config = cfg.preset(args.preset)
-    else:
-        config = cfg.ScenarioConfig()
-    return cfg.apply_profile(config, args.profile)
+        return cfg.load_config(args.config, config)
+    if args.preset:
+        return replace(config, **cfg.PRESETS[args.preset])
+    return config
+
+
+def _input_file(path):
+    if not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path}")
+    return path
 
 
 def cmd_hysteresis(args):
@@ -85,12 +91,9 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     config = _load_config(args)
-    out = _out_dir(args, config)
-    if not args.checkpoint:
-        print("evaluate requires --checkpoint", file=sys.stderr)
-        return 1
     policy, _ = qnet.load_checkpoint(args.checkpoint,
                                      expect_spec=config.net_spec)
+    out = _out_dir(args, config)
     built = scen.build_scenario(config)
     trace, traj = dqn.evaluate(policy, built.env_spec, args.steps,
                                record_trajectory=True)
@@ -117,6 +120,10 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     config = _load_config(args)
+    policy = None
+    if args.checkpoint:
+        policy, _ = qnet.load_checkpoint(args.checkpoint,
+                                         expect_spec=config.net_spec)
     out = _out_dir(args, config)
     built = scen.build_scenario(config)
     horizon = args.steps
@@ -131,9 +138,7 @@ def cmd_compare(args):
         _summary_row("vsl", vsl_trace),
     ]
     charts = [idm_trace, vsl_trace]
-    if args.checkpoint:
-        policy, _ = qnet.load_checkpoint(args.checkpoint,
-                                         expect_spec=config.net_spec)
+    if policy is not None:
         sb = baselines.run_switch_back(policy, built.env_spec,
                                        extra_steps=args.extra_steps)
         sb.cav_trace.write(os.path.join(out, "switchback_cav_trace.csv"))
@@ -189,7 +194,8 @@ def build_parser():
 
     def common(sp, steps_default=None):
         source = sp.add_mutually_exclusive_group()
-        source.add_argument("--config", help="key = value config file")
+        source.add_argument("--config", type=_input_file,
+                            help="key = value config file")
         source.add_argument("--preset", choices=list(cfg.PRESETS))
         sp.add_argument("--out", help=f"output dir (or ${ENV_OUT_ROOT})")
         sp.add_argument("--profile", choices=cfg.PROFILES, default="full")
@@ -208,12 +214,14 @@ def build_parser():
 
     sp = sub.add_parser("evaluate", help="greedy rollout of a checkpoint")
     common(sp, steps_default=2000)
-    sp.add_argument("--checkpoint", help="checkpoint file")
+    sp.add_argument("--checkpoint", type=_input_file, required=True,
+                    help="checkpoint file")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("compare", help="IDM vs VSL vs CAV switch-back")
     common(sp, steps_default=2000)
-    sp.add_argument("--checkpoint", help="checkpoint for the CAV branches")
+    sp.add_argument("--checkpoint", type=_input_file,
+                    help="checkpoint for the CAV branches")
     sp.add_argument("--extra-steps", type=int, default=200)
     sp.set_defaults(func=cmd_compare)
 

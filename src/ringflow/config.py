@@ -188,8 +188,9 @@ def parse_kv(text):
     return out
 
 
-def config_from_kv(kv):
-    """Build a ScenarioConfig from a flat dotted-key dict.
+def config_from_kv(kv, base=None):
+    """``base`` (default: the default ScenarioConfig) with the values of a
+    flat dotted-key dict.
 
     Each value parses as the type of its field's default value.  Unknown
     keys, malformed values and values the config classes reject fail here.
@@ -204,7 +205,7 @@ def config_from_kv(kv):
         except ValueError as e:
             raise ConfigError(f"{key}: {e}") from None
     try:
-        return _with(ScenarioConfig(), updates)
+        return _with(ScenarioConfig() if base is None else base, updates)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -217,9 +218,9 @@ def config_to_kv(c):
                    for key, path in _KEYS.items())
 
 
-def load_config(path):
+def load_config(path, base=None):
     with open(path) as f:
-        return config_from_kv(parse_kv(f.read()))
+        return config_from_kv(parse_kv(f.read()), base)
 
 
 def save_config(config, path):

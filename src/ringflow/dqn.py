@@ -18,15 +18,6 @@ from . import metrics, net as qnet, ring as ringmod
 ACTION_ACCELS = (-1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: float
-    a: int
-    r: float
-    s2: float
-    done: bool
-
-
 class ReplayBuffer:
     """Bounded FIFO store of transitions with uniform sampling."""
 
@@ -45,13 +36,13 @@ class ReplayBuffer:
     def __len__(self):
         return self._size
 
-    def push(self, tr):
+    def push(self, s, a, r, s2, done):
         i = self._cursor
-        self._s[i] = tr.s
-        self._a[i] = tr.a
-        self._r[i] = tr.r
-        self._s2[i] = tr.s2
-        self._done[i] = tr.done
+        self._s[i] = s
+        self._a[i] = a
+        self._r[i] = r
+        self._s2[i] = s2
+        self._done[i] = done
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -60,13 +51,8 @@ class ReplayBuffer:
         if self._size < batch:
             raise ValueError(f"buffer holds {self._size} < batch {batch}")
         idx = rng.integers(0, self._size, size=batch)
-        return (
-            self._s[idx].copy(),
-            self._a[idx].copy(),
-            self._r[idx].copy(),
-            self._s2[idx].copy(),
-            self._done[idx].copy(),
-        )
+        return (self._s[idx], self._a[idx], self._r[idx], self._s2[idx],
+                self._done[idx])
 
 
 @dataclass(frozen=True)
@@ -296,7 +282,7 @@ def train(env, config, spec=None):
             a = select_action(q, eps, act_rng)
             s2, r, done, info = env.step(a)
             stored_done = done and not info.get("truncated", False)
-            buffer.push(Transition(s, a, r, s2, stored_done))
+            buffer.push(s, a, r, s2, stored_done)
             total += r
             steps += 1
             collided = collided or info.get("collision", False)

@@ -34,48 +34,59 @@ class MlpSpec:
     def layer_dims(self):
         return (self.input_dim, *self.hidden_dims, self.output_dim)
 
+    @property
+    def n_params(self):
+        dims = self.layer_dims
+        return sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+
 
 DESK_SPEC = MlpSpec(hidden_dims=(64, 64))
 
 
 class QNetwork:
-    """Per-layer weight matrices (fan_in x fan_out) and bias vectors."""
+    """All parameters in one float64 vector ``params``: layer by layer, the
+    weight matrix (fan_in x fan_out, row-major) and then the bias vector.
+    ``weights`` and ``biases`` are views into it."""
 
-    def __init__(self, spec, weights, biases):
+    def __init__(self, spec, params):
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
+        self.params = params
+        views = self.layers(params)
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     @property
     def n_layers(self):
         return len(self.weights)
 
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+    def layers(self, flat):
+        """The per-layer ``(W, b)`` views of a vector laid out like ``params``."""
+        views, off = [], 0
+        dims = self.spec.layer_dims
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            end = off + fan_in * fan_out
+            views.append((flat[off:end].reshape(fan_in, fan_out),
+                          flat[end : end + fan_out]))
+            off = end + fan_out
+        return views
 
     def copy(self):
-        return QNetwork(
-            self.spec,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return QNetwork(self.spec, self.params.copy())
 
     def copy_from(self, other):
-        for w, ow in zip(self.weights, other.weights):
-            np.copyto(w, ow)
-        for b, ob in zip(self.biases, other.biases):
-            np.copyto(b, ob)
+        np.copyto(self.params, other.params)
 
 
 def init_network(spec, seed=0):
     """He-scaled normal weights (variance 2/fan_in), zero biases."""
     rng = np.random.default_rng(seed)
-    dims = spec.layer_dims
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return QNetwork(spec, weights, biases)
+    net = QNetwork(spec, np.zeros(spec.n_params))
+    for w in net.weights:
+        w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), w.shape)
+    return net
 
 
 def forward(net, state):
@@ -111,7 +122,7 @@ def loss_and_gradients(net, states, action_indices, targets):
     """Mean Huber loss of Q(s)[a] vs target, with exact gradients.
 
     Gradients flow only through the selected action's output.  Returns
-    ``(loss, grads)`` where grads is a list of (dW, db) matching the layers.
+    ``(loss, grads)`` where grads is a vector laid out like ``net.params``.
     """
     x = np.asarray(states, dtype=np.float64)
     a_idx = np.asarray(action_indices, dtype=np.int64)
@@ -145,36 +156,35 @@ def loss_and_gradients(net, states, action_indices, targets):
     dq = np.zeros_like(q)
     dq[rows, a_idx] = np.clip(residual, -1.0, 1.0) / batch
 
-    grads = [None] * net.n_layers
+    grads = np.empty_like(net.params)
+    views = net.layers(grads)
     delta = dq
     for i in range(last, -1, -1):
-        dw = acts[i].T @ delta
-        db = delta.sum(axis=0)
-        grads[i] = (dw, db)
+        dw, db = views[i]
+        np.matmul(acts[i].T, delta, out=dw)
+        delta.sum(axis=0, out=db)
         if i > 0:
             delta = (delta @ net.weights[i].T) * relu_masks[i - 1]
     return loss, grads
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """First and second moments, laid out like the network's ``params``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    base_lr: float = 0.001
 
     @staticmethod
     def for_network(net):
-        zeros = lambda: [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)
-        ]
-        m = zeros()
-        v = zeros()
-        return AdamState(m=m, v=v)
+        return AdamState(m=np.zeros_like(net.params),
+                         v=np.zeros_like(net.params))
 
 
 def adam_step(net, grads, adam, lr):
@@ -183,18 +193,13 @@ def adam_step(net, grads, adam, lr):
     Returns ``(net, adam)`` for call-chaining.
     """
     adam.t += 1
-    b1, b2, eps = adam.beta1, adam.beta2, adam.eps
-    c1 = 1.0 - b1**adam.t
-    c2 = 1.0 - b2**adam.t
-    for i, (dw, db) in enumerate(grads):
-        for which, g, p in ((0, dw, net.weights[i]), (1, db, net.biases[i])):
-            m = adam.m[i][which]
-            v = adam.v[i][which]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    c1 = 1.0 - ADAM_BETA1**adam.t
+    c2 = 1.0 - ADAM_BETA2**adam.t
+    adam.m *= ADAM_BETA1
+    adam.m += (1.0 - ADAM_BETA1) * grads
+    adam.v *= ADAM_BETA2
+    adam.v += (1.0 - ADAM_BETA2) * grads * grads
+    net.params -= lr * (adam.m / c1) / (np.sqrt(adam.v / c2) + ADAM_EPS)
     return net, adam
 
 
@@ -224,16 +229,9 @@ def save_checkpoint(net, adam, path):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, net.n_layers))
         for w in net.weights:
-            f.write(struct.pack("<II", w.shape[0], w.shape[1]))
-        for w, b in zip(net.weights, net.biases):
-            f.write(w.astype("<f8").tobytes(order="C"))
-            f.write(b.astype("<f8").tobytes())
-        for mw, mb in adam.m:
-            f.write(mw.astype("<f8").tobytes(order="C"))
-            f.write(mb.astype("<f8").tobytes())
-        for vw, vb in adam.v:
-            f.write(vw.astype("<f8").tobytes(order="C"))
-            f.write(vb.astype("<f8").tobytes())
+            f.write(struct.pack("<II", *w.shape))
+        for flat in (net.params, adam.m, adam.v):
+            f.write(flat.astype("<f8").tobytes())
         f.write(struct.pack("<Q", adam.t))
 
 
@@ -256,6 +254,8 @@ def load_checkpoint(path, expect_spec=None):
     version, n_layers = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if n_layers < 1:
+        raise CheckpointError("checkpoint has no layers")
     shapes = [struct.unpack("<II", take(8)) for _ in range(n_layers)]
 
     dims = [shapes[0][0]] + [s[1] for s in shapes]
@@ -270,24 +270,10 @@ def load_checkpoint(path, expect_spec=None):
             f"checkpoint spec {spec} does not match expected {expect_spec}"
         )
 
-    def read_layers():
-        ws, bs = [], []
-        for rows, cols in shapes:
-            ws.append(
-                np.frombuffer(take(rows * cols * 8), dtype="<f8")
-                .reshape(rows, cols)
-                .copy()
-            )
-            bs.append(np.frombuffer(take(cols * 8), dtype="<f8").copy())
-        return ws, bs
-
-    weights, biases = read_layers()
-    mw, mb = read_layers()
-    vw, vb = read_layers()
+    params, m, v = (np.frombuffer(take(spec.n_params * 8), dtype="<f8").copy()
+                    for _ in range(3))
     (t,) = struct.unpack("<Q", take(8))
     if off != len(data):
         raise CheckpointError("trailing bytes in checkpoint file")
 
-    net = QNetwork(spec, weights, biases)
-    adam = AdamState(m=list(zip(mw, mb)), v=list(zip(vw, vb)), t=t)
-    return net, adam
+    return QNetwork(spec, params), AdamState(m=m, v=v, t=t)

@@ -29,7 +29,15 @@ class BuiltScenario:
 
 def build_scenario(config):
     """Load to target density, remove per schedule, mark CAVs, capture the
-    success threshold (peak loading flow) into an EnvSpec."""
+    success threshold (peak loading flow) into an EnvSpec.  Vehicle counts
+    that the schedule cannot meet fail before the loading starts."""
+    left = config.load_target - sum(config.removal_schedule)
+    if left < 1:
+        raise ValueError(f"removal schedule {config.removal_schedule} leaves "
+                         f"no vehicle of load_target {config.load_target}")
+    if config.cav_count > left:
+        raise ValueError(f"cav_count {config.cav_count} > the {left} vehicles "
+                         "left after removal")
     ring = RingState(length=config.length, dt=config.dt, params=config.idm)
     ring, loading_trace = load_vehicles(ring, config.load_target)
     loaded = ring.copy()

@@ -135,8 +135,9 @@ def test_criterion_2_gradient_oracle():
         targets = rng.normal(0.0, 0.5, size=n)
         _, grads = loss_and_gradients(net, states, actions, targets)
         eps = 1e-5
-        for li, (dw, db) in enumerate(grads):
-            for arr, darr in ((net.weights[li], dw), (net.biases[li], db)):
+        for (w, b), (dw, db) in zip(net.layers(net.params),
+                                    net.layers(grads)):
+            for arr, darr in ((w, dw), (b, db)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     ix = it.multi_index
@@ -472,25 +473,20 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(net, adam, path)
     net2, adam2 = load_checkpoint(path, expect_spec=spec)
-    bit = all(
-        np.array_equal(a, b)
-        for a, b in zip(net.weights + net.biases, net2.weights + net2.biases)
-    ) and all(
-        np.array_equal(m1, m2) and np.array_equal(v1, v2)
-        for (m1, v1), (m2, v2) in zip(
-            [p for pair in zip(adam.m, adam.v) for p in pair],
-            [p for pair in zip(adam2.m, adam2.v) for p in pair],
-        )
+    bit = (
+        np.array_equal(net.params, net2.params)
+        and np.array_equal(adam.m, adam2.m)
+        and np.array_equal(adam.v, adam2.v)
     )
 
     # replay buffer: FIFO eviction and uniform sampling within 3 sigma
     buf = dqn.ReplayBuffer(capacity=100_000)
     for i in range(100_001):
-        buf.push(dqn.Transition(float(i), 0, 0.0, 0.0, False))
+        buf.push(float(i), 0, 0.0, 0.0, False)
     fifo = len(buf) == 100_000 and float(buf._s.min()) == 1.0
     small = dqn.ReplayBuffer(capacity=20)
     for i in range(20):
-        small.push(dqn.Transition(float(i), 0, 0.0, 0.0, False))
+        small.push(float(i), 0, 0.0, 0.0, False)
     rng = np.random.default_rng(123)
     counts = np.zeros(20)
     draws = 100_000

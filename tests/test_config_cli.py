@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from ringflow import ConfigError, ScenarioConfig, apply_profile, preset
-from ringflow.cli import build_parser, main as cli_main
+from ringflow import scenario
+from ringflow.cli import _load_config, build_parser, main as cli_main
 from ringflow.config import (
     PRESETS,
     PROFILES,
@@ -178,15 +179,77 @@ def test_cli_unknown_subcommand():
     assert cli_main(["frobnicate"]) == 1
 
 
-def test_cli_seed_is_a_train_flag():
+def test_cli_seed_is_a_train_flag(tmp_path, capsys):
     assert build_parser().parse_args(["train", "--seed", "3"]).seed == 3
+    checkpoint = tmp_path / "ck.bin"
+    checkpoint.write_bytes(b"")
     for command in ("hysteresis", "evaluate", "compare"):
-        assert cli_main([command, "--seed", "1"]) == 1
+        required = ["--checkpoint", str(checkpoint)] * (command == "evaluate")
+        assert cli_main([command, "--seed", "1", *required]) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_cli_evaluate_requires_checkpoint(tmp_path):
     code = cli_main([
         "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
-        "--out", str(tmp_path),
+        "--out", str(tmp_path / "out"),
     ])
-    assert code != 0
+    assert code == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_evaluate_needs_the_checkpoint_flag(tmp_path):
+    assert cli_main(["evaluate", "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    code = cli_main(["hysteresis", "--config", str(tmp_path / "no.cfg"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_compare_reads_its_checkpoint_before_loading(tmp_path,
+                                                         monkeypatch):
+    def never(config):
+        raise AssertionError("build_scenario called")
+
+    monkeypatch.setattr(scenario, "build_scenario", never)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"NOTAFILE")
+    code = cli_main(["compare", "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+
+
+def test_cli_file_keys_beat_the_profile(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("ddqn.total_train_steps = 3000\nnet.hidden_dims = 8\n")
+    parse = build_parser().parse_args
+    c = _load_config(parse(["train", "--config", str(cfgfile),
+                            "--profile", "desk"]))
+    assert c.ddqn.total_train_steps == 3000
+    assert c.net_spec.hidden_dims == (8,)
+    assert c.max_episode_steps == 600  # unset in the file: the desk value
+    assert c.ddqn.episodes == 500
+    assert _load_config(parse(["train", "--config", str(cfgfile)])) == \
+        load_config(cfgfile)
+
+
+def test_counts_the_schedule_cannot_meet_fail_before_loading(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("load_vehicles called")
+
+    monkeypatch.setattr(scenario, "load_vehicles", never)
+    base = ScenarioConfig(length=250.0, load_target=17)  # valid to construct
+    for bad in (dict(removal_schedule=(17,)),
+                dict(removal_schedule=(10, 7)),
+                dict(removal_schedule=(9,), cav_count=9)):
+        with pytest.raises(ValueError):
+            scenario.build_scenario(dataclasses.replace(base, **bad))
+    # the largest CAV count that fits gets as far as loading
+    with pytest.raises(AssertionError):
+        scenario.build_scenario(
+            dataclasses.replace(base, removal_schedule=(9,), cav_count=8))

@@ -12,7 +12,6 @@ from ringflow import (
     ReplayBuffer,
     RewardConfig,
     RingEnv,
-    Transition,
     ddqn_targets,
     epsilon_at,
     equilibrium_speed,
@@ -32,7 +31,7 @@ from conftest import make_ring
 def test_fifo_eviction_drops_oldest():
     buf = ReplayBuffer(capacity=100_000)
     for i in range(100_001):
-        buf.push(Transition(float(i), 0, 0.0, 0.0, False))
+        buf.push(float(i), 0, 0.0, 0.0, False)
     assert len(buf) == 100_000
     stored = buf._s[: len(buf)] if hasattr(buf, "_s") else None
     sample = buf.sample(100_000, np.random.default_rng(0))
@@ -43,7 +42,7 @@ def test_fifo_eviction_drops_oldest():
 def test_underfilled_buffer_refuses_to_sample():
     buf = ReplayBuffer(capacity=100)
     for i in range(31):
-        buf.push(Transition(0.0, 0, 0.0, 0.0, False))
+        buf.push(0.0, 0, 0.0, 0.0, False)
     with pytest.raises(ValueError):
         buf.sample(32, np.random.default_rng(0))
 
@@ -51,7 +50,7 @@ def test_underfilled_buffer_refuses_to_sample():
 def test_sampling_is_uniform_within_3_sigma():
     buf = ReplayBuffer(capacity=10)
     for i in range(10):
-        buf.push(Transition(float(i), 0, 0.0, 0.0, False))
+        buf.push(float(i), 0, 0.0, 0.0, False)
     rng = np.random.default_rng(1)
     n = 100_000
     draws = np.concatenate(

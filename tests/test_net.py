@@ -1,5 +1,7 @@
 """Fully-connected Q-network: init, forward, gradients, Adam, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,23 @@ def test_layer_shapes():
     net = init_network(MlpSpec(1, (512, 512, 128, 64), 3), seed=0)
     shapes = [w.shape for w in net.weights]
     assert shapes == [(1, 512), (512, 512), (512, 128), (128, 64), (64, 3)]
+
+
+def test_weights_and_biases_are_views_of_one_vector():
+    net = init_network(MlpSpec(2, (4, 3), 3), seed=0)
+    assert net.n_params() == net.params.size == (2 * 4 + 4) + (4 * 3 + 3) \
+        + (3 * 3 + 3)
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params)
+        assert np.shares_memory(b, net.params)
+    flat = np.arange(net.n_params(), dtype=np.float64)
+    pieces = [x.ravel() for w, b in net.layers(flat) for x in (w, b)]
+    np.testing.assert_array_equal(np.concatenate(pieces), flat)
+    copy = net.copy()
+    assert not np.shares_memory(copy.params, net.params)
+    copy.copy_from(init_network(net.spec, seed=1))
+    np.testing.assert_array_equal(copy.weights[1],
+                                  init_network(net.spec, seed=1).weights[1])
 
 
 # ---------------------------------------------------------------- forward
@@ -118,7 +137,8 @@ def test_targets_equal_q_gives_zero_loss_and_grads():
     targets = q[[0, 1], actions]
     loss, grads = loss_and_gradients(net, states, actions, targets)
     assert loss == 0.0
-    for gw, gb in grads:
+    assert grads.shape == net.params.shape
+    for gw, gb in net.layers(grads):
         assert (gw == 0.0).all() and (gb == 0.0).all()
 
 
@@ -144,9 +164,9 @@ def test_gradients_match_finite_differences():
         targets = rng.normal(0, 0.5, bsz)
         _, grads = loss_and_gradients(net, states, actions, targets)
         eps = 1e-5
-        for li in range(net.n_layers):
-            for arr, g in ((net.weights[li], grads[li][0]),
-                           (net.biases[li], grads[li][1])):
+        for (w, b), (gw, gb) in zip(net.layers(net.params),
+                                    net.layers(grads)):
+            for arr, g in ((w, gw), (b, gb)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     ix = it.multi_index
@@ -170,8 +190,8 @@ def test_huber_gradient_is_clipped_for_large_residual():
     loss_farther, grads_farther = loss_and_gradients(
         net, np.array([[1.0]]), np.array([0]), np.array([200.0])
     )
-    np.testing.assert_allclose(grads_far[1][0], grads_farther[1][0],
-                               atol=1e-12)
+    np.testing.assert_allclose(net.layers(grads_far)[1][0],
+                               net.layers(grads_farther)[1][0], atol=1e-12)
     assert loss_farther > loss_far
 
 
@@ -189,9 +209,7 @@ def test_adam_zero_grads_only_advance_time():
     net = small_net(seed=1)
     before = [w.copy() for w in net.weights]
     adam = AdamState.for_network(net)
-    zeros = [(np.zeros_like(w), np.zeros_like(b))
-             for w, b in zip(net.weights, net.biases)]
-    adam_step(net, zeros, adam, lr=0.001)
+    adam_step(net, np.zeros_like(net.params), adam, lr=0.001)
     assert adam.t == 1
     for w, w0 in zip(net.weights, before):
         np.testing.assert_array_equal(w, w0)
@@ -206,7 +224,8 @@ def _scalar_net(theta=0.0):
 def test_adam_first_step_hand_value():
     net = _scalar_net(0.0)
     adam = AdamState.for_network(net)
-    grads = [(np.ones_like(net.weights[0]), np.zeros_like(net.biases[0]))]
+    grads = np.zeros_like(net.params)
+    net.layers(grads)[0][0][:] = 1.0
     adam_step(net, grads, adam, lr=0.001)
     expected = -0.001 * 1.0 / (1.0 + 1e-8)
     assert net.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
@@ -215,7 +234,8 @@ def test_adam_first_step_hand_value():
 def test_adam_two_identical_unit_steps():
     net = _scalar_net(0.0)
     adam = AdamState.for_network(net)
-    grads = [(np.ones_like(net.weights[0]), np.zeros_like(net.biases[0]))]
+    grads = np.zeros_like(net.params)
+    net.layers(grads)[0][0][:] = 1.0
     adam_step(net, grads, adam, lr=0.001)
     adam_step(net, grads, adam, lr=0.001)
     assert net.weights[0][0, 0] == pytest.approx(-0.002, abs=1e-6)
@@ -245,23 +265,65 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     net = small_net(seed=9, dims=(6, 4))
     adam = AdamState.for_network(net)
     # advance optimizer state so moments are non-trivial
-    grads = [(np.full_like(w, 0.1), np.full_like(b, -0.2))
-             for w, b in zip(net.weights, net.biases)]
+    grads = np.zeros_like(net.params)
+    for gw, gb in net.layers(grads):
+        gw[:], gb[:] = 0.1, -0.2
     adam_step(net, grads, adam, lr=0.001)
     p = tmp_path / "ck.bin"
     save_checkpoint(net, adam, p)
     net2, adam2 = load_checkpoint(p)
-    for w, w2 in zip(net.weights, net2.weights):
-        np.testing.assert_array_equal(w, w2)
-    for (mw, mb), (mw2, mb2) in zip(adam.m, adam2.m):
-        np.testing.assert_array_equal(mw, mw2)
-        np.testing.assert_array_equal(mb, mb2)
+    assert net2.spec == net.spec
+    np.testing.assert_array_equal(net2.params, net.params)
+    np.testing.assert_array_equal(adam2.m, adam.m)
+    np.testing.assert_array_equal(adam2.v, adam.v)
     assert adam2.t == adam.t
+
+
+def _packed_layers(layers):
+    out = b""
+    for w, b in layers:
+        for row in w:
+            out += struct.pack(f"<{len(row)}d", *row)
+        out += struct.pack(f"<{len(b)}d", *b)
+    return out
+
+
+def test_checkpoint_v1_format_is_locked(tmp_path):
+    net = small_net(seed=4, dims=(3, 2))
+    shapes = [(1, 3), (3, 2), (2, 3)]
+    g = [(np.full(shape, 0.1 * (i + 1)), np.full(shape[1], -0.2 * (i + 1)))
+         for i, shape in enumerate(shapes)]
+    adam = AdamState.for_network(net)
+    adam_step(net, np.concatenate([x.ravel() for pair in g for x in pair]),
+              adam, lr=0.001)
+    p = tmp_path / "ck.bin"
+    save_checkpoint(net, adam, p)
+
+    # one Adam step from zero moments: m = (1 - 0.9) g, v = (1 - 0.999) g^2
+    expected = (
+        b"RFQNET01"
+        + struct.pack("<II", 1, len(shapes))
+        + b"".join(struct.pack("<II", *shape) for shape in shapes)
+        + _packed_layers(zip(net.weights, net.biases))
+        + _packed_layers([((1.0 - 0.9) * gw, (1.0 - 0.9) * gb)
+                          for gw, gb in g])
+        + _packed_layers([((1.0 - 0.999) * gw * gw, (1.0 - 0.999) * gb * gb)
+                          for gw, gb in g])
+        + struct.pack("<Q", 1)
+    )
+    assert p.read_bytes() == expected
 
 
 def test_checkpoint_wrong_magic(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOTAFILE" + b"\x00" * 64)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_without_layers(tmp_path):
+    p = tmp_path / "empty.bin"
+    p.write_bytes(b"RFQNET01" + struct.pack("<II", 1, 0) + struct.pack("<Q", 0))
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
 
