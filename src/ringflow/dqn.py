@@ -261,6 +261,7 @@ def train(env, config, spec=None):
     online = qnet.init_network(spec, seed=init_seed)
     target = online.copy()
     adam = qnet.AdamState.for_network(online)
+    grad_buffer = online.gradient_buffer()
     act_rng = np.random.default_rng(act_seed)
     sample_rng = np.random.default_rng(sample_seed)
     buffer = ReplayBuffer(config.replay_capacity)
@@ -294,7 +295,8 @@ def train(env, config, spec=None):
                 batch = buffer.sample(config.batch_size, sample_rng)
                 y = ddqn_targets(batch, online, target, config.gamma)
                 states = batch[0].reshape(-1, 1)
-                loss, grads = qnet.loss_and_gradients(online, states, batch[1], y)
+                loss, grads = qnet.loss_and_gradients(
+                    online, states, batch[1], y, out=grad_buffer)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at step {global_step}: {loss}"

@@ -7,7 +7,7 @@ threshold) is applied to the selected action's output only.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,12 @@ class QNetwork:
             off = end + fan_out
         return views
 
+    def gradient_buffer(self):
+        """A vector laid out like ``params`` and its ``layers`` views, for
+        ``loss_and_gradients`` to write into."""
+        flat = np.empty_like(self.params)
+        return flat, self.layers(flat)
+
     def copy(self):
         return QNetwork(self.spec, self.params.copy())
 
@@ -118,11 +124,13 @@ def _huber(residual):
     return np.where(a <= 1.0, 0.5 * residual * residual, a - 0.5)
 
 
-def loss_and_gradients(net, states, action_indices, targets):
+def loss_and_gradients(net, states, action_indices, targets, out=None):
     """Mean Huber loss of Q(s)[a] vs target, with exact gradients.
 
     Gradients flow only through the selected action's output.  Returns
-    ``(loss, grads)`` where grads is a vector laid out like ``net.params``.
+    ``(loss, grads)`` where grads is a vector laid out like ``net.params``:
+    the one of ``out``, a ``net.gradient_buffer()`` that a training loop
+    keeps across calls, or else a new one.
     """
     x = np.asarray(states, dtype=np.float64)
     a_idx = np.asarray(action_indices, dtype=np.int64)
@@ -156,8 +164,7 @@ def loss_and_gradients(net, states, action_indices, targets):
     dq = np.zeros_like(q)
     dq[rows, a_idx] = np.clip(residual, -1.0, 1.0) / batch
 
-    grads = np.empty_like(net.params)
-    views = net.layers(grads)
+    grads, views = net.gradient_buffer() if out is None else out
     delta = dq
     for i in range(last, -1, -1):
         dw, db = views[i]
@@ -175,11 +182,17 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First and second moments, laid out like the network's ``params``."""
+    """First and second moments, laid out like the network's ``params``, and
+    two scratch vectors of that size that ``adam_step`` computes in (not
+    part of the state: the checkpoint leaves them out)."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    _scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @staticmethod
     def for_network(net):
@@ -195,11 +208,24 @@ def adam_step(net, grads, adam, lr):
     adam.t += 1
     c1 = 1.0 - ADAM_BETA1**adam.t
     c2 = 1.0 - ADAM_BETA2**adam.t
+    s, u = adam._scratch
+    # m = B1 m + (1 - B1) g and v = B2 v + ((1 - B2) g) g, in this order of
+    # operations: the checkpoints' bits depend on it
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
     adam.m *= ADAM_BETA1
-    adam.m += (1.0 - ADAM_BETA1) * grads
+    adam.m += s
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=s)
+    s *= grads
     adam.v *= ADAM_BETA2
-    adam.v += (1.0 - ADAM_BETA2) * grads * grads
-    net.params -= lr * (adam.m / c1) / (np.sqrt(adam.v / c2) + ADAM_EPS)
+    adam.v += s
+    # params -= lr (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(adam.m, c1, out=u)
+    u *= lr
+    np.divide(adam.v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPS
+    u /= s
+    net.params -= u
     return net, adam
 
 

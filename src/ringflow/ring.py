@@ -23,6 +23,10 @@ LOAD_COOLDOWN_STEPS = 600
 LOAD_PATIENCE_STEPS = 1800
 LOAD_MAX_STEPS = 400_000
 
+# The vehicle columns of a RingState, in cyclic ring order, and their dtypes.
+_COLUMNS = (("_ids", np.int64), ("_cav", bool), ("_pos", np.float64),
+            ("_v", np.float64), ("_a", np.float64))
+
 
 class VehicleKind(Enum):
     HUMAN = "human"
@@ -57,8 +61,12 @@ class CapacityError(ValueError):
 class RingState:
     """Ordered vehicle collection on a loop, plus geometry and clock.
 
-    Value-like: ``copy()`` yields an independent snapshot.  Internal storage
-    is array-of-columns in cyclic ring order.
+    Storage is one array per column (``_COLUMNS``) in cyclic ring order.
+    Columns are values: every change binds a new array, and none is written
+    in place.  So ``copy()`` shares the columns, and marks them read-only,
+    instead of copying them; a stray in-place write raises instead of
+    changing another ring.  The gaps are memoized on the identity of
+    ``_pos``, so binding a new ``_pos`` invalidates them.
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
@@ -69,12 +77,10 @@ class RingState:
         self.params = params if params is not None else IdmParams()
         self.step_count = 0
         self.terminal = False
-        self._ids = np.empty(0, dtype=np.int64)
-        self._cav = np.empty(0, dtype=bool)
-        self._pos = np.empty(0, dtype=np.float64)
-        self._v = np.empty(0, dtype=np.float64)
-        self._a = np.empty(0, dtype=np.float64)
+        for name, dtype in _COLUMNS:
+            setattr(self, name, np.empty(0, dtype=dtype))
         self._next_id = 0
+        self._gap_memo = (None, None)  # (the _pos they belong to, gaps)
 
     # -- views ------------------------------------------------------------
 
@@ -119,16 +125,19 @@ class RingState:
         ]
 
     def copy(self):
-        out = RingState(self.length, self.dt, self.params)
-        out.step_count = self.step_count
-        out.terminal = self.terminal
-        out._ids = self._ids.copy()
-        out._cav = self._cav.copy()
-        out._pos = self._pos.copy()
-        out._v = self._v.copy()
-        out._a = self._a.copy()
-        out._next_id = self._next_id
+        """A ring that shares this ring's columns and gap memo; the columns
+        are read-only from here on, in both rings."""
+        state = vars(self)
+        for name, _ in _COLUMNS:
+            state[name].setflags(write=False)
+        out = object.__new__(RingState)
+        vars(out).update(state)
         return out
+
+    def _take(self, index):
+        """Rebind every column to its rows at ``index`` (an index array)."""
+        for name, _ in _COLUMNS:
+            setattr(self, name, getattr(self, name)[index])
 
     def _index_of(self, vehicle_id):
         idx = np.nonzero(self._ids == vehicle_id)[0]
@@ -137,23 +146,32 @@ class RingState:
         return int(idx[0])
 
     def _gaps(self):
-        """Bumper-to-bumper gap of every vehicle to its ring leader."""
-        lead = np.roll(self._pos, -1)
-        return (lead - self._pos) % self.length - self.params.vehicle_length
+        """Bumper-to-bumper gap of every vehicle to its ring leader (read-only,
+        computed once per ``_pos`` array; ``length`` and ``params`` are
+        never rebound)."""
+        pos = self._pos
+        memo_pos, gaps = self._gap_memo
+        if memo_pos is not pos:
+            gaps = (_lead(pos) - pos) % self.length - self.params.vehicle_length
+            gaps.setflags(write=False)
+            self._gap_memo = (pos, gaps)
+        return gaps
 
     def _insert(self, position, speed, cav=False):
         position = position % self.length
         i = int(np.searchsorted(self._pos, position))
-        self._ids = np.insert(self._ids, i, self._next_id)
-        self._cav = np.insert(self._cav, i, cav)
-        self._pos = np.insert(self._pos, i, position)
-        self._v = np.insert(self._v, i, speed)
-        self._a = np.insert(self._a, i, 0.0)
+        row = (self._next_id, cav, position, speed, 0.0)
+        for (name, _), value in zip(_COLUMNS, row):
+            setattr(self, name, np.insert(getattr(self, name), i, value))
         self._next_id += 1
         # keep cyclic order canonical (ascending by position)
-        order = np.argsort(self._pos, kind="stable")
-        for name in ("_ids", "_cav", "_pos", "_v", "_a"):
-            setattr(self, name, getattr(self, name)[order])
+        self._take(np.argsort(self._pos, kind="stable"))
+
+
+def _lead(column):
+    """Every vehicle's leader's entry: ``column`` shifted one place round the
+    ring, as ``np.roll(column, -1)`` without its overhead."""
+    return np.concatenate((column[1:], column[:1]))
 
 
 def gap_to_leader(ring, vehicle_id):
@@ -175,6 +193,10 @@ def step(ring, cav_accel=0.0, v_desired=None):
     (speed-limit control).  Returns ``(new_ring, CollisionReport | None)``;
     a collision marks the returned ring terminal, and a terminal ring cannot
     be stepped again.
+
+    ``ring`` is left as it was.  The new ring shares its ids and CAV marks
+    and binds new positions, speeds and accelerations; the gaps of the
+    collision check stay memoized on it, so the next step reuses them.
     """
     if ring.terminal:
         raise ValueError("cannot step a terminal ring (it has collided)")
@@ -191,7 +213,7 @@ def step(ring, cav_accel=0.0, v_desired=None):
         lead_v = v
     else:
         gaps = out._gaps()
-        lead_v = np.roll(v, -1)
+        lead_v = _lead(v)
 
     accel = idm_acceleration_vec(v, lead_v, gaps, p, v_desired=v_desired)
     if out._cav.any():
@@ -325,9 +347,7 @@ def remove_vehicles(ring, count, seed):
         return out
     drop = np.sort(np.random.default_rng(seed).choice(out.n, count,
                                                       replace=False))
-    keep = np.setdiff1d(np.arange(out.n), drop)
-    for name in ("_ids", "_cav", "_pos", "_v", "_a"):
-        setattr(out, name, getattr(out, name)[keep])
+    out._take(np.setdiff1d(np.arange(out.n), drop))
     return out
 
 
@@ -350,10 +370,9 @@ def apply_formation(ring, cav_count, strategy):
     if cav_count > ring.n:
         raise ValueError(f"cav_count {cav_count} > vehicle count {ring.n}")
     out = ring.copy()
-    out._cav = np.zeros(out.n, dtype=bool)
     if cav_count == 0:
-        return out
-    if strategy is FormationStrategy.UNIFORM:
+        idx = []
+    elif strategy is FormationStrategy.UNIFORM:
         idx = (np.arange(cav_count) * out.n) // cav_count
     elif strategy is FormationStrategy.PLATOON:
         # circular sum of speeds over every window of cav_count vehicles;
@@ -364,7 +383,9 @@ def apply_formation(ring, cav_count, strategy):
         idx = (start + np.arange(cav_count)) % out.n
     else:
         raise ValueError(f"unknown strategy {strategy}")
-    out._cav[idx] = True
+    cav = np.zeros(out.n, dtype=bool)
+    cav[idx] = True
+    out._cav = cav
     return out
 
 
@@ -431,13 +452,11 @@ def snapshot_from_json(text):
         ring.step_count = doc["step_count"]
         ring.terminal = doc["terminal"]
         ring._next_id = int(doc["next_id"])
-        vs = doc["vehicles"]
-        ring._ids = np.array([v["id"] for v in vs], dtype=np.int64)
-        ring._cav = np.array([VehicleKind(v["kind"]) is VehicleKind.CAV
-                              for v in vs], dtype=bool)
-        ring._pos = np.array([v["position"] for v in vs], dtype=np.float64)
-        ring._v = np.array([v["speed"] for v in vs], dtype=np.float64)
-        ring._a = np.array([v["last_accel"] for v in vs], dtype=np.float64)
+        rows = [(v["id"], VehicleKind(v["kind"]) is VehicleKind.CAV,
+                 v["position"], v["speed"], v["last_accel"])
+                for v in doc["vehicles"]]
+        for (name, dtype), values in zip(_COLUMNS, zip(*rows)):
+            setattr(ring, name, np.array(values, dtype=dtype))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed ring snapshot: {e!r}") from e
     pos, v, p = ring._pos, ring._v, ring.params

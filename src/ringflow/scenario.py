@@ -3,7 +3,8 @@ environment spec handed to training/evaluation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import metrics
 from .dqn import EnvSpec
@@ -18,6 +19,9 @@ from .ring import (
 PLATEAU_STEPS = 3000
 PLATEAU_TAIL = 0.2
 
+# Loaded rings kept by build_scenario, one per distinct loading input.
+LOAD_CACHE_SIZE = 4
+
 
 @dataclass
 class BuiltScenario:
@@ -27,10 +31,26 @@ class BuiltScenario:
     env_spec: EnvSpec
 
 
+@lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _loaded(length, dt, idm, load_target):
+    """The ring loaded to ``load_target`` and its loading trace, with
+    read-only trace arrays; ``load_vehicles`` is a pure function of these
+    four inputs, so its result is shared."""
+    ring = RingState(length=length, dt=dt, params=idm)
+    ring, trace = load_vehicles(ring, load_target)
+    for a in (trace.steps, trace.density, trace.flow, trace.mean_speed):
+        a.setflags(write=False)
+    return ring, trace
+
+
 def build_scenario(config):
     """Load to target density, remove per schedule, mark CAVs, capture the
     success threshold (peak loading flow) into an EnvSpec.  Vehicle counts
-    that the schedule cannot meet fail before the loading starts."""
+    that the schedule cannot meet fail before the loading starts.
+
+    The loading runs once per distinct (length, dt, idm, load_target) in a
+    process; later calls reuse the loaded ring, whose copies share its
+    read-only columns, and the loading trace's read-only arrays."""
     left = config.load_target - sum(config.removal_schedule)
     if left < 1:
         raise ValueError(f"removal schedule {config.removal_schedule} leaves "
@@ -38,8 +58,9 @@ def build_scenario(config):
     if config.cav_count > left:
         raise ValueError(f"cav_count {config.cav_count} > the {left} vehicles "
                          "left after removal")
-    ring = RingState(length=config.length, dt=config.dt, params=config.idm)
-    ring, loading_trace = load_vehicles(ring, config.load_target)
+    ring, loading_trace = _loaded(config.length, config.dt, config.idm,
+                                  config.load_target)
+    loading_trace = replace(loading_trace)  # its own, on the shared arrays
     loaded = ring.copy()
 
     for i, count in enumerate(config.removal_schedule):

@@ -1,0 +1,193 @@
+"""Property tests of ``ring.step`` over random valid rings: the physical
+invariants hold, and the step equals a reference rule bit for bit, also after
+every operation that changes a ring between two steps."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from ringflow import (
+    CollisionReport,
+    FormationStrategy,
+    IdmParams,
+    RingState,
+    apply_formation,
+    remove_vehicles,
+    revert_to_human,
+    snapshot_from_json,
+    snapshot_to_json,
+)
+from ringflow import ring as ringmod
+from ringflow.dqn import ACTION_ACCELS, EnvSpec, RingEnv
+from ringflow.idm import idm_acceleration_vec
+
+P = IdmParams()
+STEPS = 8
+COLUMNS = ("_ids", "_cav", "_pos", "_v", "_a")
+
+
+@st.composite
+def rings(draw, min_n=0):
+    """A ring of 0..30 vehicles with positive gaps, speeds in [0, v0] and
+    CAV marks; the wrap-around falls anywhere in the arrays."""
+    n = draw(st.integers(min_n, 30))
+    gaps = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n))
+    speeds = draw(st.lists(st.floats(0.0, P.v0), min_size=n, max_size=n))
+    cav = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    length = sum(g + P.vehicle_length for g in gaps) or 100.0
+    offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * length
+    steps = [0.0] + [g + P.vehicle_length for g in gaps[:-1]]
+    ring = RingState(length=length, params=P)
+    ring._ids = np.arange(n, dtype=np.int64)
+    ring._cav = np.array(cav, dtype=bool)
+    ring._pos = (offset + np.cumsum(steps[:n])) % length
+    ring._v = np.array(speeds, dtype=np.float64)
+    ring._a = np.zeros(n)
+    ring._next_id = n
+    return ring
+
+
+# (cav_accel, v_desired); a speed limit of at least 0.1 m/s keeps every IDM
+# term finite
+commands = st.tuples(st.sampled_from(ACTION_ACCELS),
+                     st.none() | st.floats(0.1, P.v0))
+
+
+def reference_step(ring, cav_accel, v_desired):
+    """The step rule as first written, with ``np.roll``, on copies of the
+    ring's columns.  Returns ``(pos, v, a, CollisionReport | None)``."""
+    p, n, length, dt = ring.params, ring.n, ring.length, ring.dt
+    ids, cav, pos, v, a = (np.array(getattr(ring, c)) for c in COLUMNS)
+    if n == 0:
+        return pos, v, a, None
+    if n == 1:
+        gaps = np.array([length - p.vehicle_length])
+        lead_v = v
+    else:
+        gaps = (np.roll(pos, -1) - pos) % length - p.vehicle_length
+        lead_v = np.roll(v, -1)
+    accel = idm_acceleration_vec(v, lead_v, gaps, p, v_desired=v_desired)
+    if cav.any():
+        accel = np.where(cav, cav_accel, accel)
+    v_new = np.clip(v + accel * dt, 0.0, p.v0)
+    disp = np.maximum(v * dt + 0.5 * accel * dt * dt, 0.0)
+    pos_new = (pos + disp) % length
+    report = None
+    if n >= 2:
+        new_gaps = (np.roll(pos_new, -1) - pos_new) % length - p.vehicle_length
+        bad = np.nonzero(new_gaps <= 0.0)[0]
+        if len(bad):
+            i = int(bad[np.argmin(new_gaps[bad])])
+            report = CollisionReport(
+                step=ring.step_count + 1, follower_id=int(ids[i]),
+                leader_id=int(ids[(i + 1) % n]), gap=float(new_gaps[i]))
+    return pos_new, v_new, accel, report
+
+
+def step_matching_reference(ring, cav_accel=0.0, v_desired=None):
+    """``ring.step``, asserted equal to ``reference_step`` bit for bit."""
+    pos, v, a, ref_report = reference_step(ring, cav_accel, v_desired)
+    out, report = ringmod.step(ring, cav_accel, v_desired)
+    assert out._pos.tobytes() == pos.tobytes()
+    assert out._v.tobytes() == v.tobytes()
+    assert out._a.tobytes() == a.tobytes()
+    assert report == ref_report
+    assert out.step_count == ring.step_count + 1
+    assert out.terminal == (report is not None)
+    return out, report
+
+
+def assert_step_invariants(before, after, report):
+    p, length = after.params, after.length
+    assert after.n == before.n
+    np.testing.assert_array_equal(after._ids, before._ids)
+    np.testing.assert_array_equal(after._cav, before._cav)
+    assert ((after._pos >= 0.0) & (after._pos < length)).all()
+    assert ((after._v >= 0.0) & (after._v <= p.v0)).all()
+    if after.n < 2:
+        return
+    # no overtaking: every front bumper stays behind its leader's
+    disp = (after._pos - before._pos) % length
+    spacing = (np.roll(before._pos, -1) - before._pos) % length
+    assert (spacing + np.roll(disp, -1) - disp > 0.0).all()
+    gaps = (np.roll(after._pos, -1) - after._pos) % length - p.vehicle_length
+    assert report is not None or (gaps > 0.0).all()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rings(), st.lists(commands, min_size=STEPS, max_size=STEPS))
+def test_steps_keep_the_invariants_and_match_the_reference(ring, cmds):
+    for cav_accel, v_desired in cmds:
+        out, report = step_matching_reference(ring, cav_accel, v_desired)
+        assert_step_invariants(ring, out, report)
+        if report is not None:
+            break
+        ring = out
+
+
+def _insert_in_largest_gap(r):
+    out = r.copy()
+    k = int(np.argmax(out._gaps()))
+    out._insert(out._pos[k] + (out._gaps()[k] + P.vehicle_length) / 2, 0.0)
+    return out
+
+
+def _env_reset_with_jitter(r):
+    spec = EnvSpec(snapshot=r, success_flow_threshold=1.0, speed_jitter=0.05)
+    env = RingEnv(spec, rng=np.random.default_rng(3))
+    env.reset()
+    return env.ring
+
+
+CHANGES = {
+    "insert": _insert_in_largest_gap,
+    "remove_vehicles": lambda r: remove_vehicles(r, 1, seed=7),
+    "apply_formation": lambda r: apply_formation(
+        r, r.n // 2, FormationStrategy.PLATOON),
+    "revert_to_human": revert_to_human,
+    "snapshot_from_json": lambda r: snapshot_from_json(snapshot_to_json(r)),
+    "env_reset_with_jitter": _env_reset_with_jitter,
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(ring=rings(min_n=2), first=commands, second=commands)
+def test_a_change_between_steps_leaves_no_stale_gaps(change, ring, first,
+                                                    second):
+    ring, report = ringmod.step(ring, *first)
+    assume(report is None)
+    changed = CHANGES[change](ring)
+    step_matching_reference(changed, *second)
+
+
+def test_the_collision_check_gaps_serve_the_next_step():
+    ring = RingState(length=200.0)
+    for x in (0.0, 50.0, 120.0):
+        ring._insert(x, 10.0)
+    out, _ = ringmod.step(ring)
+    memo_pos, gaps = out._gap_memo
+    assert memo_pos is out._pos
+    assert out._gaps() is gaps
+    nxt = out.copy()
+    assert nxt._gaps() is gaps  # a copy shares the memo
+
+
+def test_copies_share_read_only_columns():
+    ring = RingState(length=200.0)
+    for x in (0.0, 50.0, 120.0):
+        ring._insert(x, 10.0, cav=x == 50.0)
+    before = {c: getattr(ring, c).copy() for c in COLUMNS}
+    copied = ring.copy()
+    for c in COLUMNS:
+        assert getattr(copied, c) is getattr(ring, c)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(copied, c)[0] = 1
+        np.testing.assert_array_equal(getattr(ring, c), before[c])
+    with pytest.raises(ValueError, match="read-only"):
+        copied._gaps()[0] = 1.0
+    # rebinding a column on the copy leaves the source alone
+    copied._v = np.zeros(3)
+    np.testing.assert_array_equal(ring._v, before["_v"])
