@@ -4,25 +4,20 @@ fundamental-diagram hysteresis analysis."""
 from .idm import (
     AlreadyCollidingError,
     IdmParams,
-    equilibrium_speed,
     idm_acceleration,
 )
 from .ring import (
     CapacityError,
     CollisionReport,
-    NoLeaderError,
     FormationStrategy,
     RingState,
     VehicleKind,
-    VehicleState,
     apply_formation,
-    gap_to_leader,
     load_vehicles,
     remove_vehicles,
     revert_to_human,
     rollout,
     save_snapshot,
-    load_snapshot,
     snapshot_from_json,
     snapshot_to_json,
     step,
@@ -35,7 +30,6 @@ from .metrics import (
     TraceRecorder,
     hysteresis_gap,
     interp_flow,
-    mean_time_headway,
     measure,
     peak_flow,
 )

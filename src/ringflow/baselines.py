@@ -3,6 +3,7 @@ and the CAV-to-human switch-back experiment."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,14 @@ class VslPolicy:
         if self.period_steps < 1:
             raise ValueError("period_steps must be >= 1")
         thresholds = [r.min_mean_speed for r in self.rules]
+        if not all(map(math.isfinite, thresholds)):
+            raise ValueError("rule thresholds must be finite")
         if sorted(thresholds, reverse=True) != thresholds or len(
             set(thresholds)
         ) != len(thresholds):
             raise ValueError("rule thresholds must be strictly decreasing")
-        if any(r.limit <= 0 for r in self.rules):
-            raise ValueError("speed limits must be positive")
+        if not all(0 < r.limit < math.inf for r in self.rules):
+            raise ValueError("speed limits must be finite and positive")
 
     def active_limit(self, mean_speed, v0):
         for rule in self.rules:
@@ -158,15 +161,9 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
     snap = rings[peak_step]
 
     if extra_steps == 0:
-        sample = metrics.measure(snap)
-        single = metrics.FdTrace(
-            phase=metrics.Phase.CONTROLLED,
-            steps=np.array([sample.step], dtype=np.int64),
-            density=np.array([sample.density]),
-            flow=np.array([sample.flow]),
-            mean_speed=np.array([sample.mean_speed]),
-        )
-        cav_trace = reverted_trace = single
+        rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
+        rec.record(snap)
+        cav_trace = reverted_trace = rec.finish()
     else:
         cav_rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
         ringmod.rollout(snap, extra_steps, greedy, cav_rec.record)

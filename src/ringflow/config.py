@@ -15,7 +15,7 @@ from .baselines import VslPolicy, VslRule, default_vsl_policy
 from .dqn import DdqnConfig, EpsilonSchedule, RewardConfig
 from .idm import IdmParams
 from .net import LrSchedule, MlpSpec, DESK_SPEC
-from .ring import FormationStrategy
+from .ring import FormationStrategy, RingState
 
 
 class ConfigError(ValueError):
@@ -39,6 +39,9 @@ class ScenarioConfig:
     max_episode_steps: int = 3000
     speed_jitter: float = 0.0
     out_dir: str = "out"
+
+    def __post_init__(self):
+        RingState(self.length, self.dt, self.idm)  # checks length and dt
 
 
 # Named scenario presets mirroring the experiment suite, as the fields they

@@ -6,11 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class AlreadyCollidingError(ValueError):
-    """Raised when the IDM is evaluated at a non-positive gap."""
+    """Raised when the scalar IDM reference is evaluated at a non-positive
+    gap."""
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,9 @@ class IdmParams:
 
     def __post_init__(self):
         for name in ("v0", "T", "a_max", "b", "delta", "s0", "vehicle_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"IdmParams.{name} must be finite and strictly positive")
         if self.delta < 1:
             raise ValueError("IdmParams.delta must be >= 1")
 
@@ -48,6 +49,10 @@ def idm_acceleration(v, leader_v, gap, params, v_desired=None):
     ``gap`` is the bumper-to-bumper distance (m, must be > 0).  ``v_desired``
     overrides the desired speed (used by speed-limit control); defaults to
     ``params.v0``.
+
+    The simulator steps with ``idm_acceleration_vec``.  This scalar form,
+    with its ``AlreadyCollidingError``, is kept as the written-out reference
+    that the tests compare the vectorized form against.
     """
     if gap <= 0:
         raise AlreadyCollidingError(f"gap {gap} <= 0: vehicles already colliding")
@@ -67,23 +72,3 @@ def idm_acceleration_vec(v, leader_v, gap, params, v_desired=None):
         0.0, v * params.T + v * dv / (2.0 * math.sqrt(params.a_max * params.b))
     )
     return params.a_max * (1.0 - (v / vd) ** params.delta - (s_star / gap) ** 2)
-
-
-def equilibrium_speed(gap, params):
-    """Steady-state speed at a fixed bumper-to-bumper gap (zero speed difference).
-
-    Solves a(v) = 0 for v in [0, v0]; returns 0 when the gap cannot sustain
-    motion (gap <= s0).
-    """
-    if gap <= params.s0:
-        return 0.0
-
-    def f(v):
-        s_star = params.s0 + v * params.T
-        return 1.0 - (v / params.v0) ** params.delta - (s_star / gap) ** 2
-
-    if f(0.0) <= 0.0:
-        return 0.0
-    if f(params.v0) >= 0.0:
-        return params.v0
-    return brentq(f, 0.0, params.v0, xtol=1e-12)

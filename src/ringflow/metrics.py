@@ -1,4 +1,4 @@
-"""Macroscopic traffic measurement: density, flow, space-mean speed, headway.
+"""Macroscopic traffic measurement: density, flow and space-mean speed.
 
 Flow is the loop-wide instantaneous q = k * u; densities are reported in
 veh/km, flows in veh/h, speeds in m/s.
@@ -39,18 +39,6 @@ class FdTrace:
 
     def __len__(self):
         return len(self.steps)
-
-    def samples(self):
-        return [
-            FdSample(
-                density=float(self.density[i]),
-                flow=float(self.flow[i]),
-                mean_speed=float(self.mean_speed[i]),
-                phase=self.phase,
-                step=int(self.steps[i]),
-            )
-            for i in range(len(self))
-        ]
 
     def decimate(self, factor):
         if factor < 1:
@@ -129,13 +117,6 @@ def measure(ring, phase=Phase.CONTROLLED):
     u = ring.mean_speed()
     flow = density * u * 3.6  # veh/km * m/s -> veh/h
     return FdSample(density, flow, u, phase, ring.step_count)
-
-
-def mean_time_headway(sample):
-    """Loop-average time headway in seconds, h = 3600 / q."""
-    if sample.flow <= 0:
-        raise ValueError("mean time headway undefined at zero flow")
-    return 3600.0 / sample.flow
 
 
 def _branch_curve(trace):

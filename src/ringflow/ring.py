@@ -8,7 +8,8 @@ ring order, so the leader of index i is index (i+1) % n.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,24 +35,11 @@ class VehicleKind(Enum):
 
 
 @dataclass(frozen=True)
-class VehicleState:
-    id: int
-    kind: VehicleKind
-    position: float
-    speed: float
-    last_accel: float
-
-
-@dataclass(frozen=True)
 class CollisionReport:
     step: int
     follower_id: int
     leader_id: int
     gap: float
-
-
-class NoLeaderError(ValueError):
-    pass
 
 
 class CapacityError(ValueError):
@@ -70,8 +58,8 @@ class RingState:
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
-        if length <= 0 or dt <= 0:
-            raise ValueError("length and dt must be positive")
+        if not (0 < length < math.inf and 0 < dt < math.inf):
+            raise ValueError("length and dt must be finite and positive")
         self.length = float(length)
         self.dt = float(dt)
         self.params = params if params is not None else IdmParams()
@@ -100,29 +88,8 @@ class RingState:
     def speeds(self):
         return self._v.copy()
 
-    @property
-    def is_cav(self):
-        return self._cav.copy()
-
-    @property
-    def ids(self):
-        return self._ids.copy()
-
     def mean_speed(self):
         return float(self._v.mean()) if self.n else 0.0
-
-    @property
-    def vehicles(self):
-        return [
-            VehicleState(
-                id=int(self._ids[i]),
-                kind=VehicleKind.CAV if self._cav[i] else VehicleKind.HUMAN,
-                position=float(self._pos[i]),
-                speed=float(self._v[i]),
-                last_accel=float(self._a[i]),
-            )
-            for i in range(self.n)
-        ]
 
     def copy(self):
         """A ring that shares this ring's columns and gap memo; the columns
@@ -138,12 +105,6 @@ class RingState:
         """Rebind every column to its rows at ``index`` (an index array)."""
         for name, _ in _COLUMNS:
             setattr(self, name, getattr(self, name)[index])
-
-    def _index_of(self, vehicle_id):
-        idx = np.nonzero(self._ids == vehicle_id)[0]
-        if len(idx) == 0:
-            raise KeyError(f"no vehicle with id {vehicle_id}")
-        return int(idx[0])
 
     def _gaps(self):
         """Bumper-to-bumper gap of every vehicle to its ring leader (read-only,
@@ -172,17 +133,6 @@ def _lead(column):
     """Every vehicle's leader's entry: ``column`` shifted one place round the
     ring, as ``np.roll(column, -1)`` without its overhead."""
     return np.concatenate((column[1:], column[:1]))
-
-
-def gap_to_leader(ring, vehicle_id):
-    """Bumper-to-bumper gap from a vehicle to the next vehicle in ring order."""
-    if ring.n < 2:
-        raise NoLeaderError("gap_to_leader requires at least 2 vehicles")
-    i = ring._index_of(vehicle_id)
-    j = (i + 1) % ring.n
-    return float(
-        (ring._pos[j] - ring._pos[i]) % ring.length - ring.params.vehicle_length
-    )
 
 
 def step(ring, cav_accel=0.0, v_desired=None):
@@ -460,9 +410,7 @@ def snapshot_from_json(text):
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed ring snapshot: {e!r}") from e
     pos, v, p = ring._pos, ring._v, ring.params
-    numbers = np.concatenate([[ring.length, ring.dt, *astuple(p)], pos, v,
-                              ring._a])
-    if not np.isfinite(numbers).all():
+    if not np.isfinite(np.concatenate([pos, v, ring._a])).all():
         raise ValueError("ring snapshot holds a non-finite number")
     if len(np.unique(ring._ids)) < ring.n:
         raise ValueError("vehicle ids are not unique")
@@ -481,11 +429,6 @@ def snapshot_from_json(text):
 def save_snapshot(ring, path):
     with open(path, "w") as f:
         f.write(snapshot_to_json(ring))
-
-
-def load_snapshot(path):
-    with open(path) as f:
-        return snapshot_from_json(f.read())
 
 
 class TrajectoryRecorder:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ringflow import FdTrace, IdmParams, Phase, RingState
 
@@ -14,6 +15,24 @@ def make_ring(positions, speeds, cavs=None, length=1000.0, dt=0.1,
     for pos, v, cav in zip(positions, speeds, cavs):
         ring._insert(pos, v, cav=cav)
     return ring
+
+
+def equilibrium_speed(gap, params):
+    """Steady-state IDM speed at a fixed bumper-to-bumper gap (zero speed
+    difference): the root of a(v) = 0 in [0, v0], or 0 when the gap cannot
+    sustain motion (gap <= s0)."""
+    if gap <= params.s0:
+        return 0.0
+
+    def f(v):
+        s_star = params.s0 + v * params.T
+        return 1.0 - (v / params.v0) ** params.delta - (s_star / gap) ** 2
+
+    if f(0.0) <= 0.0:
+        return 0.0
+    if f(params.v0) >= 0.0:
+        return params.v0
+    return brentq(f, 0.0, params.v0, xtol=1e-12)
 
 
 def trace_of(pairs, phase=Phase.LOADING):

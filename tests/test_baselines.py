@@ -7,12 +7,13 @@ from ringflow import (
     EnvSpec,
     IdmParams,
     MlpSpec,
+    Phase,
     VslPolicy,
     VslRule,
     default_vsl_policy,
-    equilibrium_speed,
     find_flow_peak_step,
     init_network,
+    measure,
     run_idm_recovery,
     run_switch_back,
     run_vsl,
@@ -20,7 +21,7 @@ from ringflow import (
 )
 from ringflow import ring as ringmod
 
-from conftest import make_ring
+from conftest import equilibrium_speed, make_ring
 
 
 def _equilibrium_ring(n=20, cav_every=3):
@@ -79,10 +80,9 @@ def test_limit_never_exceeds_desired_speed():
 def test_recovery_reverts_commanded_vehicles():
     ring, v_eq = _equilibrium_ring()
     trace = run_idm_recovery(ring, steps=50)
-    samples = trace.samples()
-    assert len(samples) == 50
+    assert len(trace) == 50
     # at equilibrium spacing the all-human ring holds its speed
-    assert samples[-1].mean_speed == pytest.approx(v_eq, abs=1e-6)
+    assert trace.mean_speed[-1] == pytest.approx(v_eq, abs=1e-6)
 
 
 def test_empty_rule_table_matches_plain_recovery():
@@ -100,7 +100,7 @@ def test_active_limit_caps_speeds():
     policy = VslPolicy(rules=(VslRule(0.0, 10.0),))
     trace, limits = run_vsl(ring, policy, steps=600)
     assert (limits == 10.0).all()
-    assert trace.samples()[-1].mean_speed < 10.5
+    assert trace.mean_speed[-1] < 10.5
 
 
 def test_limit_refresh_period_runs_across_removals(monkeypatch):
@@ -154,9 +154,13 @@ def test_switch_back_zero_extra_steps_single_sample():
     spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
     res = run_switch_back(_coast_policy(), spec, extra_steps=0,
                           search_steps=300)
-    assert len(res.cav_trace.samples()) == 1
-    assert len(res.reverted_trace.samples()) == 1
-    assert res.cav_trace.flow[0] == pytest.approx(res.reverted_trace.flow[0])
+    s = measure(res.snapshot)
+    for trace in (res.cav_trace, res.reverted_trace):
+        assert len(trace) == 1
+        assert trace.phase is Phase.CONTROLLED
+        assert (trace.steps[0], trace.density[0], trace.flow[0],
+                trace.mean_speed[0]) == (s.step, s.density, s.flow,
+                                         s.mean_speed)
 
 
 def test_switch_back_needs_a_search_step():

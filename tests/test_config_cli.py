@@ -114,6 +114,21 @@ def test_vsl_period_of_zero_is_rejected_at_load(tmp_path):
     assert cli_main(["compare", "--config", str(cfgfile)]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("idm.v0", "nan"),
+    ("sim.length", "nan"),
+    ("sim.dt", "inf"),
+    ("vsl.rules", "15:30, 8:nan, 0:13"),
+    ("vsl.rules", "15:30, nan:20, 0:13"),
+])
+def test_non_finite_values_are_rejected_at_load(tmp_path, key, value):
+    with pytest.raises(ConfigError):
+        config_from_kv({key: value})
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    assert cli_main(["compare", "--config", str(cfgfile)]) == 1
+
+
 def test_unknown_key_fails_fast():
     with pytest.raises(ConfigError):
         config_from_kv({"idm.warp_drive": "1"})

@@ -14,7 +14,6 @@ from ringflow import (
     RingEnv,
     ddqn_targets,
     epsilon_at,
-    equilibrium_speed,
     init_network,
     select_action,
     train,
@@ -22,7 +21,7 @@ from ringflow import (
 from ringflow.dqn import ACTION_ACCELS, EnvTerminatedError
 from ringflow.net import forward_batch
 
-from conftest import make_ring
+from conftest import equilibrium_speed, make_ring
 
 
 # ---------------------------------------------------------------- replay
@@ -256,10 +255,9 @@ def test_broadcast_reaches_every_commanded_vehicle():
     env = RingEnv(spec)
     env.reset()
     env.step(0)  # decelerate
-    vs = env.ring.vehicles
-    for v in vs:
-        if v.kind.name == "CAV":
-            assert v.last_accel == pytest.approx(ACTION_ACCELS[0])
+    r = env.ring
+    assert r.cav_count > 0
+    np.testing.assert_array_equal(r._a[r._cav], ACTION_ACCELS[0])
 
 
 # ---------------------------------------------------------------- training

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringflow import AlreadyCollidingError, IdmParams, equilibrium_speed
+from ringflow import AlreadyCollidingError, IdmParams
 from ringflow.idm import idm_acceleration, idm_acceleration_vec
+
+from conftest import equilibrium_speed
 
 
 def test_hand_value_matched_speeds_midrange_gap(idm_params):

@@ -9,7 +9,6 @@ from ringflow import (
     TraceRecorder,
     hysteresis_gap,
     interp_flow,
-    mean_time_headway,
     measure,
     peak_flow,
 )
@@ -47,30 +46,6 @@ def test_measure_tags_phase():
     assert measure(r, Phase.LOADING).phase is Phase.LOADING
 
 
-# ---------------------------------------------------------------- headway
-
-
-def test_mean_time_headway_values():
-    r = make_ring([i * 20.0 for i in range(50)], [10.0] * 50)
-    assert mean_time_headway(measure(r)) == pytest.approx(2.0)
-
-
-def test_headway_unit_case():
-    t = trace_of([(50, 3600)])
-    assert mean_time_headway(t.samples()[0]) == pytest.approx(1.0)
-
-
-def test_headway_inverts_flow():
-    t = trace_of([(40, 1412)])
-    assert mean_time_headway(t.samples()[0]) == pytest.approx(2.549, abs=1e-3)
-
-
-def test_headway_undefined_at_zero_flow():
-    t = trace_of([(40, 0)])
-    with pytest.raises(ValueError):
-        mean_time_headway(t.samples()[0])
-
-
 # ---------------------------------------------------------------- traces
 
 
@@ -90,7 +65,7 @@ def test_recorder_collects_samples():
     rec.record(r)
     rec.record(r)
     t = rec.finish()
-    assert len(t.samples()) == 2
+    assert len(t) == 2
     assert t.phase is Phase.UNLOADING
 
 

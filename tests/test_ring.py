@@ -10,10 +10,7 @@ from ringflow import (
     FormationStrategy,
     IdmParams,
     RingState,
-    VehicleKind,
     apply_formation,
-    equilibrium_speed,
-    gap_to_leader,
     load_vehicles,
     remove_vehicles,
     revert_to_human,
@@ -22,34 +19,29 @@ from ringflow import (
 )
 from ringflow import ring as ringmod
 
-from conftest import make_ring
+from conftest import equilibrium_speed, make_ring
 
 
 # ---------------------------------------------------------------- gaps
 
 
+# make_ring orders the vehicles by ascending position, so the i-th gap is
+# that of the i-th vehicle from position 0.
+
+
 def test_gap_direct_subtraction():
     r = make_ring([100.0, 150.0], [10.0, 10.0])
-    vid = [v.id for v in r.vehicles if v.position == 100.0][0]
-    assert gap_to_leader(r, vid) == pytest.approx(45.0)
+    np.testing.assert_allclose(r._gaps(), [45.0, 945.0])
 
 
 def test_gap_modular_wraparound():
     r = make_ring([990.0, 10.0], [10.0, 10.0])
-    vid = [v.id for v in r.vehicles if v.position == 990.0][0]
-    assert gap_to_leader(r, vid) == pytest.approx(15.0)
+    np.testing.assert_allclose(r._gaps(), [975.0, 15.0])
 
 
 def test_gap_degenerate_overlap_is_negative_length():
     r = make_ring([500.0, 500.0], [0.0, 0.0])
-    vid = r.vehicles[0].id
-    assert gap_to_leader(r, vid) == pytest.approx(-5.0)
-
-
-def test_gap_requires_a_leader():
-    r = make_ring([100.0], [10.0])
-    with pytest.raises(ringmod.NoLeaderError):
-        gap_to_leader(r, r.vehicles[0].id)
+    np.testing.assert_allclose(r._gaps(), [-5.0, -5.0])
 
 
 # ---------------------------------------------------------------- step
@@ -59,9 +51,8 @@ def test_single_vehicle_free_road_advance():
     r = make_ring([0.0], [10.0])
     r2, report = ringmod.step(r)
     assert report is None
-    v = r2.vehicles[0]
-    a = v.last_accel
-    assert v.position == pytest.approx(10.0 * 0.1 + 0.5 * a * 0.01)
+    a = r2._a[0]
+    assert r2._pos[0] == pytest.approx(10.0 * 0.1 + 0.5 * a * 0.01)
     assert a > 0.9  # nearly free-road maximum at 10 m/s
 
 
@@ -85,8 +76,7 @@ def test_human_emergency_braking_prevents_rear_end():
     for _ in range(10):
         r, report = ringmod.step(r)
         assert report is None
-    follower = min(r.vehicles, key=lambda v: v.position)
-    assert follower.speed == 0.0
+    assert r._v[np.argmin(r._pos)] == 0.0  # the follower
 
 
 def test_coasting_cav_reports_rear_end_collision():
@@ -108,9 +98,9 @@ def test_speeds_never_negative():
 def test_cav_receives_broadcast_acceleration():
     r = make_ring([0.0, 500.0], [10.0, 10.0], cavs=[True, False])
     r2, _ = ringmod.step(r, cav_accel=-1.0)
-    cav = [v for v in r2.vehicles if v.kind is VehicleKind.CAV][0]
-    assert cav.last_accel == pytest.approx(-1.0)
-    assert cav.speed == pytest.approx(10.0 - 0.1)
+    cav = int(np.flatnonzero(r2._cav)[0])
+    assert r2._a[cav] == pytest.approx(-1.0)
+    assert r2._v[cav] == pytest.approx(10.0 - 0.1)
 
 
 def test_step_determinism():
@@ -177,7 +167,7 @@ def test_load_to_zero_is_noop():
     r = RingState()
     r2, trace = load_vehicles(r, 0)
     assert r2.n == 0
-    assert len(trace.samples()) == 0
+    assert len(trace) == 0
 
 
 def test_load_two_vehicles_reach_free_flow():
@@ -193,9 +183,8 @@ def test_loading_count_and_trace_are_consistent():
     r = RingState()
     r2, trace = load_vehicles(r, 12)
     assert r2.n == 12
-    samples = trace.samples()
-    assert len(samples) > 0
-    assert samples[-1].density == pytest.approx(12.0)
+    assert len(trace) > 0
+    assert trace.density[-1] == pytest.approx(12.0)
 
 
 # ---------------------------------------------------------------- removal
@@ -233,14 +222,14 @@ def _fresh51():
 def test_uniform_formation_spreads_cavs():
     r = apply_formation(_fresh51(), 17, FormationStrategy.UNIFORM)
     assert r.cav_count == 17
-    flags = r.is_cav
+    flags = r._cav
     # every third vehicle in cyclic order
     assert all(flags[i] for i in range(0, 51, 3))
 
 
 def test_platoon_formation_is_consecutive():
     r = apply_formation(_fresh51(), 17, FormationStrategy.PLATOON)
-    idx = np.flatnonzero(r.is_cav)
+    idx = np.flatnonzero(r._cav)
     assert len(idx) == 17
     assert (np.diff(idx) == 1).all()
 
@@ -274,17 +263,23 @@ def _snapshot_ring():
 
 def test_snapshot_json_round_trip():
     # the second ring's last vehicle has wrapped past 0, so its positions
-    # are in ring order without being sorted
+    # are in ring order without being sorted; the third has collided
     wrapped, _ = ringmod.step(make_ring([100.0, 500.0, 998.0],
                                         [3.0, 7.5, 30.0]))
     assert wrapped.positions[-1] < wrapped.positions[0]
-    for r in (_snapshot_ring(), wrapped):
+    collided, report = ringmod.step(make_ring([0.0, 6.0], [30.0, 0.0],
+                                              cavs=[True, False]))
+    assert report is not None
+    for r in (_snapshot_ring(), wrapped, collided):
         r2 = snapshot_from_json(snapshot_to_json(r))
-        np.testing.assert_array_equal(r.positions, r2.positions)
-        np.testing.assert_array_equal(r.speeds, r2.speeds)
-        np.testing.assert_array_equal(r.is_cav, r2.is_cav)
-        np.testing.assert_array_equal(r.ids, r2.ids)
-        assert r.length == r2.length and r.dt == r2.dt
+        for name, dtype in ringmod._COLUMNS:
+            a, b = getattr(r, name), getattr(r2, name)
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype == dtype, name
+        for name in ("length", "dt", "params", "step_count", "terminal",
+                     "_next_id"):
+            a, b = getattr(r, name), getattr(r2, name)
+            assert a == b and type(a) is type(b), name
 
 
 def test_snapshot_keys_and_unread_keys_are_ignored():
