@@ -7,6 +7,7 @@ DDQN hyperparameters, reward constants, and the VSL rule table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import reduce
@@ -42,6 +43,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         RingState(self.length, self.dt, self.idm)  # checks length and dt
+        if self.load_target < 1:
+            raise ValueError("load_target must be >= 1")
+        if min(self.removal_schedule, default=0) < 0:
+            raise ValueError("removal counts must be >= 0")
+        for name in ("removal_seed", "cav_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.max_episode_steps < 1:
+            raise ValueError("max_episode_steps must be >= 1")
+        if not 0.0 <= self.speed_jitter < math.inf:
+            raise ValueError("speed_jitter must be finite and >= 0")
 
 
 # Named scenario presets mirroring the experiment suite, as the fields they

@@ -9,6 +9,7 @@ first beats the loading-phase peak.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,12 @@ class EpsilonSchedule:
     end: float = 0.05
     decay_steps: int = 100_000
 
+    def __post_init__(self):
+        if not (0.0 <= self.start <= 1.0 and 0.0 <= self.end <= 1.0):
+            raise ValueError("epsilon start and end must be in [0, 1]")
+        if self.decay_steps < 0:
+            raise ValueError("epsilon decay_steps must be >= 0")
+
 
 def epsilon_at(schedule, step):
     """Linear decay start -> end, flat at end past decay_steps."""
@@ -84,6 +91,12 @@ class RewardConfig:
     collision_penalty: float = -3000.0
     success_bonus: float = 1000.0
     success_terminates: bool = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.collision_penalty)
+                and math.isfinite(self.success_bonus)):
+            raise ValueError("reward collision_penalty and success_bonus "
+                             "must be finite")
 
 
 @dataclass
@@ -193,6 +206,14 @@ def ddqn_targets(batch, online, target, gamma):
     return np.asarray(r) + gamma * boot * (~np.asarray(done, dtype=bool))
 
 
+# The integer fields of DdqnConfig and the least value each may take.
+_DDQN_COUNT_MINIMA = (
+    ("batch_size", 1), ("episodes", 0), ("total_train_steps", 0),
+    ("target_sync_period", 1), ("min_buffer_before_learning", 0),
+    ("replay_capacity", 1), ("seed", 0),
+)
+
+
 @dataclass
 class DdqnConfig:
     gamma: float = 0.90
@@ -209,6 +230,9 @@ class DdqnConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
+        for name, least in _DDQN_COUNT_MINIMA:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size exceeds replay capacity")
 

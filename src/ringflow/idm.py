@@ -41,6 +41,23 @@ class IdmParams:
                     f"IdmParams.{name} must be finite and strictly positive")
         if self.delta < 1:
             raise ValueError("IdmParams.delta must be >= 1")
+        # the denominator of the braking term of s*, computed once (not a
+        # field: equality, hashing and the config format ignore it)
+        object.__setattr__(self, "_two_sqrt_ab",
+                           2.0 * math.sqrt(self.a_max * self.b))
+
+    def check_speed_limit(self, v_desired):
+        """``ValueError`` unless ``v_desired`` is finite and positive and the
+        free-road term ``(v0 / v_desired) ** delta`` stays finite, so that
+        no speed in [0, v0] gets an infinite acceleration."""
+        try:
+            ok = (0.0 < v_desired < math.inf
+                  and (self.v0 / v_desired) ** self.delta < math.inf)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"speed limit {v_desired!r} must be finite and "
+                             "positive, and (v0 / limit) ** delta finite")
 
 
 def idm_acceleration(v, leader_v, gap, params, v_desired=None):
@@ -65,10 +82,25 @@ def idm_acceleration(v, leader_v, gap, params, v_desired=None):
 
 
 def idm_acceleration_vec(v, leader_v, gap, params, v_desired=None):
-    """Vectorized ``idm_acceleration`` over numpy arrays (gaps must be > 0)."""
+    """Vectorized ``idm_acceleration`` over numpy arrays (gaps must be > 0).
+
+    The operations, and the operands of each, are those of the scalar form
+    in the same order, so the bits are too.  They run in place on three
+    fresh temporaries (the third argument of a ufunc is its output), never
+    in an argument.
+    """
     vd = params.v0 if v_desired is None else v_desired
-    dv = v - leader_v
-    s_star = params.s0 + np.maximum(
-        0.0, v * params.T + v * dv / (2.0 * math.sqrt(params.a_max * params.b))
-    )
-    return params.a_max * (1.0 - (v / vd) ** params.delta - (s_star / gap) ** 2)
+    s_star = np.subtract(v, leader_v)  # dv
+    np.multiply(v, s_star, s_star)
+    np.divide(s_star, params._two_sqrt_ab, s_star)
+    np.add(v * params.T, s_star, s_star)
+    np.maximum(0.0, s_star, out=s_star)
+    np.add(params.s0, s_star, s_star)
+    np.divide(s_star, gap, s_star)
+    np.square(s_star, s_star)  # what ``** 2`` calls
+    accel = v / vd
+    np.power(accel, params.delta, accel)
+    np.subtract(1.0, accel, accel)
+    np.subtract(accel, s_star, accel)
+    np.multiply(params.a_max, accel, accel)
+    return accel

@@ -52,14 +52,16 @@ class FdTrace:
         )
 
     def write(self, path, decimation=1):
+        """One CSV row per sample (every ``decimation``-th), formatted from
+        Python numbers (``tolist``), which print as numpy's do."""
         t = self.decimate(decimation)
+        phase = t.phase.value
+        rows = zip(map(int, t.steps.tolist()), t.density.tolist(),
+                   t.flow.tolist(), t.mean_speed.tolist())
         with open(path, "w") as f:
             f.write("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n")
-            for i in range(len(t)):
-                f.write(
-                    f"{int(t.steps[i])},{t.phase.value},"
-                    f"{t.density[i]:.9g},{t.flow[i]:.9g},{t.mean_speed[i]:.9g}\n"
-                )
+            f.writelines(f"{step},{phase},{k:.9g},{q:.9g},{u:.9g}\n"
+                         for step, k, q, u in rows)
 
     @staticmethod
     def read(path):

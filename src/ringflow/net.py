@@ -6,6 +6,7 @@ threshold) is applied to the selected action's output only.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -234,6 +235,12 @@ class LrSchedule:
     base: float = 0.001
     final: float = 0.0
     total_steps: int = 1_000_000
+
+    def __post_init__(self):
+        if not (0.0 <= self.base < math.inf and 0.0 <= self.final < math.inf):
+            raise ValueError("lr base and final must be finite and >= 0")
+        if self.total_steps < 0:
+            raise ValueError("lr total_steps must be >= 0")
 
 
 def lr_at(schedule, step):

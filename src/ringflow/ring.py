@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +28,7 @@ LOAD_MAX_STEPS = 400_000
 # The vehicle columns of a RingState, in cyclic ring order, and their dtypes.
 _COLUMNS = (("_ids", np.int64), ("_cav", bool), ("_pos", np.float64),
             ("_v", np.float64), ("_a", np.float64))
+_COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 
 
 class VehicleKind(Enum):
@@ -53,8 +55,12 @@ class RingState:
     Columns are values: every change binds a new array, and none is written
     in place.  So ``copy()`` shares the columns, and marks them read-only,
     instead of copying them; a stray in-place write raises instead of
-    changing another ring.  The gaps are memoized on the identity of
-    ``_pos``, so binding a new ``_pos`` invalidates them.
+    changing another ring.  Two facts derived from a column are memoized on
+    the identity of that column, and copies share the memos: the gaps on
+    ``_pos`` (``_gap_memo``) and whether any vehicle is a CAV on ``_cav``
+    (``_cav_memo``).  Binding a new column invalidates its memo, with no
+    list of sites to keep; the memo holds the array, so its identity cannot
+    be reused while the memo lives.
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
@@ -69,6 +75,7 @@ class RingState:
             setattr(self, name, np.empty(0, dtype=dtype))
         self._next_id = 0
         self._gap_memo = (None, None)  # (the _pos they belong to, gaps)
+        self._cav_memo = (None, False)  # (the _cav it belongs to, any CAV)
 
     # -- views ------------------------------------------------------------
 
@@ -89,21 +96,28 @@ class RingState:
         return self._v.copy()
 
     def mean_speed(self):
-        return float(self._v.mean()) if self.n else 0.0
+        """The space-mean speed; ``np.add.reduce(v) / n`` is what
+        ``ndarray.mean`` computes, bit for bit, without its wrapper."""
+        n = self.n
+        return float(np.add.reduce(self._v) / n) if n else 0.0
 
     def copy(self):
-        """A ring that shares this ring's columns and gap memo; the columns
-        are read-only from here on, in both rings."""
+        """A ring that shares this ring's columns and memos; the columns are
+        read-only from here on, in both rings.  Only a column that is still
+        writable is marked: after a ring's first copy that is at most the
+        three that ``step`` binds anew."""
         state = vars(self)
-        for name, _ in _COLUMNS:
-            state[name].setflags(write=False)
+        for name in _COLUMN_NAMES:
+            column = state[name]
+            if column.flags.writeable:
+                column.setflags(write=False)
         out = object.__new__(RingState)
         vars(out).update(state)
         return out
 
     def _take(self, index):
         """Rebind every column to its rows at ``index`` (an index array)."""
-        for name, _ in _COLUMNS:
+        for name in _COLUMN_NAMES:
             setattr(self, name, getattr(self, name)[index])
 
     def _gaps(self):
@@ -113,10 +127,22 @@ class RingState:
         pos = self._pos
         memo_pos, gaps = self._gap_memo
         if memo_pos is not pos:
-            gaps = (_lead(pos) - pos) % self.length - self.params.vehicle_length
+            gaps = _lead(pos)
+            np.subtract(gaps, pos, gaps)
+            np.remainder(gaps, self.length, gaps)
+            np.subtract(gaps, self.params.vehicle_length, gaps)
             gaps.setflags(write=False)
             self._gap_memo = (pos, gaps)
         return gaps
+
+    def _any_cav(self):
+        """Whether any vehicle is a CAV, computed once per ``_cav`` array."""
+        cav = self._cav
+        memo_cav, any_cav = self._cav_memo
+        if memo_cav is not cav:
+            any_cav = bool(cav.any())
+            self._cav_memo = (cav, any_cav)
+        return any_cav
 
     def _insert(self, position, speed, cav=False):
         position = position % self.length
@@ -129,10 +155,21 @@ class RingState:
         self._take(np.argsort(self._pos, kind="stable"))
 
 
+# n -> the read-only index of every vehicle's leader, [1, 2, ..., n-1, 0]
+_LEAD_INDEX = {}
+
+
 def _lead(column):
     """Every vehicle's leader's entry: ``column`` shifted one place round the
-    ring, as ``np.roll(column, -1)`` without its overhead."""
-    return np.concatenate((column[1:], column[:1]))
+    ring, as ``np.roll(column, -1)``, by a ``take`` with the leader index of
+    its length (kept per length in ``_LEAD_INDEX``; empty for n = 0)."""
+    n = len(column)
+    index = _LEAD_INDEX.get(n)
+    if index is None:
+        index = np.roll(np.arange(n), -1)
+        index.setflags(write=False)
+        _LEAD_INDEX[n] = index
+    return column.take(index)
 
 
 def step(ring, cav_accel=0.0, v_desired=None):
@@ -145,11 +182,25 @@ def step(ring, cav_accel=0.0, v_desired=None):
     be stepped again.
 
     ``ring`` is left as it was.  The new ring shares its ids and CAV marks
-    and binds new positions, speeds and accelerations; the gaps of the
-    collision check stay memoized on it, so the next step reuses them.
+    (and their memo) and binds new positions, speeds and accelerations; the
+    gaps of the collision check stay memoized on it, so the next step reuses
+    them.  A ``v_desired`` that is not finite and positive, or so small that
+    ``(v0 / v_desired) ** delta`` overflows, is a ``ValueError``.
+
+    The arithmetic is that of the first vectorized step, operation for
+    operation, so the bits are too.  Leaders' entries come from ``_lead``
+    (a ``take`` with an index cached per vehicle count), the CAV test from
+    the ring's CAV memo, and the new arrays are computed in place (a ufunc's
+    third argument is its output) on fresh temporaries, never in a bound
+    column.  The expressions keep their order: ``0.5 * accel * dt * dt`` is
+    not reassociated, and ``** delta`` stays a power.  Speeds are limited
+    with ``clip``, not ``minimum``/``maximum``: those turn a speed of -0.0
+    into +0.0, and ``clip`` keeps it.
     """
     if ring.terminal:
         raise ValueError("cannot step a terminal ring (it has collided)")
+    if v_desired is not None:
+        ring.params.check_speed_limit(v_desired)
     out = ring.copy()
     p = out.params
     n = out.n
@@ -166,32 +217,42 @@ def step(ring, cav_accel=0.0, v_desired=None):
         lead_v = _lead(v)
 
     accel = idm_acceleration_vec(v, lead_v, gaps, p, v_desired=v_desired)
-    if out._cav.any():
-        accel = np.where(out._cav, cav_accel, accel)
+    if out._any_cav():
+        np.copyto(accel, cav_accel, where=out._cav)
 
     dt = out.dt
-    v_new = np.clip(v + accel * dt, 0.0, p.v0)
-    disp = np.maximum(v * dt + 0.5 * accel * dt * dt, 0.0)  # no reversing
-    out._pos = (out._pos + disp) % out.length
+    v_new = accel * dt
+    np.add(v, v_new, v_new)
+    v_new.clip(0.0, p.v0, out=v_new)
+    half = np.multiply(0.5, accel)
+    np.multiply(half, dt, half)
+    np.multiply(half, dt, half)
+    disp = v * dt
+    np.add(disp, half, disp)
+    np.maximum(disp, 0.0, out=disp)  # no reversing
+    np.add(out._pos, disp, disp)
+    np.remainder(disp, out.length, disp)
+    out._pos = disp
     out._v = v_new
     out._a = accel
     out.step_count += 1
 
-    report = None
-    if n >= 2:
-        new_gaps = out._gaps()
-        bad = np.nonzero(new_gaps <= 0.0)[0]
-        if len(bad):
-            i = int(bad[np.argmin(new_gaps[bad])])
-            j = (i + 1) % n
-            report = CollisionReport(
-                step=out.step_count,
-                follower_id=int(out._ids[i]),
-                leader_id=int(out._ids[j]),
-                gap=float(new_gaps[i]),
-            )
-            out.terminal = True
-    return out, report
+    if n < 2:
+        return out, None
+    new_gaps = out._gaps()
+    # one reduction finds no collision; fmin skips NaN, as ``<=`` does
+    if not np.fmin.reduce(new_gaps) <= 0.0:
+        return out, None
+    bad = np.nonzero(new_gaps <= 0.0)[0]
+    i = int(bad[np.argmin(new_gaps[bad])])
+    j = (i + 1) % n
+    out.terminal = True
+    return out, CollisionReport(
+        step=out.step_count,
+        follower_id=int(out._ids[i]),
+        leader_id=int(out._ids[j]),
+        gap=float(new_gaps[i]),
+    )
 
 
 def rollout(ring, steps, control=None, observe=None):
@@ -230,11 +291,12 @@ def _try_insert(ring, forced=False):
     if ring.n == 0:
         ring._insert(0.0, p.v0)
         return True
-    i_behind = int(np.argmax(ring._pos))
-    i_ahead = int(np.argmin(ring._pos))
-    front_gap = float(ring._pos[i_ahead] % ring.length) - p.vehicle_length
-    rear_gap = float((-ring._pos[i_behind]) % ring.length) - p.vehicle_length
-    v_ahead = float(ring._v[i_ahead])
+    pos = ring._pos
+    i_ahead = pos.argmin()
+    # Python floats: their % is numpy's (fmod, then the sign of the divisor)
+    front_gap = pos.item(i_ahead) % ring.length - p.vehicle_length
+    rear_gap = (-pos.item(pos.argmax())) % ring.length - p.vehicle_length
+    v_ahead = ring._v.item(i_ahead)
     if front_gap <= p.s0 or rear_gap <= p.s0:
         return False
     if front_gap > p.s0 + p.T * v_ahead:
@@ -440,17 +502,10 @@ class TrajectoryRecorder:
         self.rows = []
 
     def record(self, ring):
-        for i in range(ring.n):
-            self.rows.append(
-                (
-                    ring.step_count,
-                    int(ring._ids[i]),
-                    "cav" if ring._cav[i] else "human",
-                    float(ring._pos[i]),
-                    float(ring._v[i]),
-                    float(ring._a[i]),
-                )
-            )
+        kinds = ["cav" if c else "human" for c in ring._cav.tolist()]
+        self.rows.extend(zip(repeat(ring.step_count), ring._ids.tolist(),
+                             kinds, ring._pos.tolist(), ring._v.tolist(),
+                             ring._a.tolist()))
 
     def write(self, path):
         with open(path, "w") as f:

@@ -38,6 +38,12 @@ def _fmt(v):
     return f"{v:g}"
 
 
+def _values(seq):
+    """``seq`` as a list of Python numbers: an array's ``tolist()``, so the
+    chart does its arithmetic on floats, not one numpy scalar at a time."""
+    return seq.tolist() if hasattr(seq, "tolist") else list(seq)
+
+
 class Chart:
     """A single x/y chart accumulating line and point series."""
 
@@ -48,11 +54,11 @@ class Chart:
         self.series = []  # (kind, xs, ys, label)
 
     def line(self, xs, ys, label=""):
-        self.series.append(("line", list(xs), list(ys), label))
+        self.series.append(("line", _values(xs), _values(ys), label))
         return self
 
     def points(self, xs, ys, label=""):
-        self.series.append(("points", list(xs), list(ys), label))
+        self.series.append(("points", _values(xs), _values(ys), label))
         return self
 
     def _bounds(self):

@@ -1,7 +1,9 @@
-"""Shared helpers for building small ring states and flow traces by hand."""
+"""Shared helpers for building small ring states and flow traces by hand,
+and the hypothesis strategy of random valid rings."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ringflow import FdTrace, IdmParams, Phase, RingState
@@ -47,6 +49,30 @@ def trace_of(pairs, phase=Phase.LOADING):
         flow=q,
         mean_speed=u,
     )
+
+
+@st.composite
+def rings(draw, min_n=0):
+    """A ring of 0..30 vehicles with positive gaps, speeds in [0, v0] (-0.0
+    among them) and CAV marks; the wrap-around falls anywhere in the
+    arrays."""
+    p = IdmParams()
+    n = draw(st.integers(min_n, 30))
+    gaps = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n))
+    speeds = draw(st.lists(st.floats(0.0, p.v0) | st.just(-0.0),
+                           min_size=n, max_size=n))
+    cav = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    length = sum(g + p.vehicle_length for g in gaps) or 100.0
+    offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * length
+    steps = [0.0] + [g + p.vehicle_length for g in gaps[:-1]]
+    ring = RingState(length=length, params=p)
+    ring._ids = np.arange(n, dtype=np.int64)
+    ring._cav = np.array(cav, dtype=bool)
+    ring._pos = (offset + np.cumsum(steps[:n])) % length
+    ring._v = np.array(speeds, dtype=np.float64)
+    ring._a = np.zeros(n)
+    ring._next_id = n
+    return ring
 
 
 @pytest.fixture

@@ -103,6 +103,13 @@ def test_active_limit_caps_speeds():
     assert trace.mean_speed[-1] < 10.5
 
 
+def test_run_vsl_rejects_a_limit_the_idm_cannot_take():
+    ring, _ = _equilibrium_ring()
+    policy = VslPolicy(rules=(VslRule(min_mean_speed=0.0, limit=1e-300),))
+    with pytest.raises(ValueError, match="speed limit"):
+        run_vsl(ring, policy, 10)
+
+
 def test_limit_refresh_period_runs_across_removals(monkeypatch):
     # 12 slow, widely spaced vehicles accelerate, so the mean speed crosses
     # a threshold of this fine rule table every few steps

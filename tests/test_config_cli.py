@@ -129,6 +129,37 @@ def test_non_finite_values_are_rejected_at_load(tmp_path, key, value):
     assert cli_main(["compare", "--config", str(cfgfile)]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("scenario.speed_jitter", "nan"),
+    ("scenario.load_target", "-1"),
+    ("scenario.cav_count", "-1"),
+    ("scenario.removal_schedule", "17, -1"),
+    ("scenario.removal_seed", "-1"),
+    ("scenario.max_episode_steps", "0"),
+    ("ddqn.batch_size", "-1"),
+    ("ddqn.episodes", "-1"),
+    ("ddqn.total_train_steps", "-1"),
+    ("ddqn.target_sync_period", "0"),
+    ("ddqn.min_buffer_before_learning", "-1"),
+    ("ddqn.replay_capacity", "0"),
+    ("ddqn.seed", "-1"),
+    ("ddqn.epsilon.start", "nan"),
+    ("ddqn.epsilon.end", "inf"),
+    ("ddqn.epsilon.decay_steps", "-1"),
+    ("ddqn.lr.base", "nan"),
+    ("ddqn.lr.final", "inf"),
+    ("ddqn.lr.total_steps", "-1"),
+    ("reward.collision_penalty", "-inf"),
+    ("reward.success_bonus", "nan"),
+])
+def test_out_of_range_values_are_rejected_at_load(tmp_path, key, value):
+    with pytest.raises(ConfigError):
+        config_from_kv({key: value})
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    assert cli_main(["compare", "--config", str(cfgfile)]) == 1
+
+
 def test_unknown_key_fails_fast():
     with pytest.raises(ConfigError):
         config_from_kv({"idm.warp_drive": "1"})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from ringflow import (
     FdTrace,
@@ -13,7 +14,7 @@ from ringflow import (
     peak_flow,
 )
 
-from conftest import make_ring, trace_of
+from conftest import make_ring, rings, trace_of
 
 
 # ---------------------------------------------------------------- measure
@@ -46,6 +47,19 @@ def test_measure_tags_phase():
     assert measure(r, Phase.LOADING).phase is Phase.LOADING
 
 
+@given(rings())
+def test_mean_speed_and_measure_match_their_formulas_bit_for_bit(ring):
+    n = ring.n
+    u = float(ring._v.mean()) if n else 0.0
+    density = n / ring.length * 1000.0 if n else 0.0
+    flow = density * u * 3.6 if n else 0.0
+    assert ring.mean_speed().hex() == u.hex()
+    s = measure(ring, Phase.UNLOADING)
+    assert [x.hex() for x in (s.density, s.flow, s.mean_speed)] == \
+        [x.hex() for x in (density, flow, u)]
+    assert (s.phase, s.step) == (Phase.UNLOADING, ring.step_count)
+
+
 # ---------------------------------------------------------------- traces
 
 
@@ -57,6 +71,29 @@ def test_trace_round_trip(tmp_path):
     np.testing.assert_allclose(t2.density, t.density)
     np.testing.assert_allclose(t2.flow, t.flow)
     assert t2.phase is t.phase
+
+
+def _reference_csv(trace):
+    """The trace file as first written: one row at a time, from numpy
+    scalars."""
+    rows = [f"{int(trace.steps[i])},{trace.phase.value},{trace.density[i]:.9g},"
+            f"{trace.flow[i]:.9g},{trace.mean_speed[i]:.9g}\n"
+            for i in range(len(trace))]
+    return "step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n" + \
+        "".join(rows)
+
+
+@pytest.mark.parametrize("decimation", [1, 3])
+def test_trace_writer_matches_a_per_row_reference(tmp_path, decimation):
+    values = np.array([0.0, -0.0, 1e-300, 5e-324, 1e17, 123456789.123456,
+                       1.0 / 3.0, 2.5e-7, 1e300, 68.0, -4.25])
+    t = FdTrace(phase=Phase.UNLOADING,
+                steps=np.arange(len(values), dtype=np.int64) * 2**40 - 7,
+                density=values, flow=values[::-1].copy(),
+                mean_speed=np.roll(values, 3))
+    path = tmp_path / "t.csv"
+    t.write(path, decimation)
+    assert path.read_text() == _reference_csv(t.decimate(decimation))
 
 
 def test_recorder_collects_samples():

@@ -1,6 +1,7 @@
 """Ring kinematics: gaps, synchronous updates, loading, removal, formation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -325,3 +326,45 @@ def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
 def test_snapshot_rejects_garbage():
     with pytest.raises(ValueError):
         snapshot_from_json("{}")
+
+
+# ---------------------------------------------------------------- trajectory
+
+
+def test_trajectory_rows_and_file_match_a_per_vehicle_reference(tmp_path):
+    ring = make_ring([0.0, 40.0, 90.0, 150.0], [8.0, -0.0, 12.5, 3.0],
+                     cavs=[False, True, False, True], length=200.0)
+    rec = ringmod.TrajectoryRecorder()
+    reference = []
+    for _ in range(5):
+        ring, _ = ringmod.step(ring, -1.0)
+        rec.record(ring)
+        for i in range(ring.n):  # the recorder as first written
+            reference.append((ring.step_count, int(ring._ids[i]),
+                              "cav" if ring._cav[i] else "human",
+                              float(ring._pos[i]), float(ring._v[i]),
+                              float(ring._a[i])))
+    assert rec.rows == reference
+    assert [tuple(map(type, r)) for r in rec.rows] == \
+        [(int, int, str, float, float, float)] * len(reference)
+    path = tmp_path / "trajectory.csv"
+    rec.write(path)
+    expected = "step,vehicle_id,kind,position_m,speed_mps,accel_mps2\n" + "".join(
+        f"{r[0]},{r[1]},{r[2]},{r[3]:.6f},{r[4]:.6f},{r[5]:.6f}\n"
+        for r in reference)
+    assert path.read_text() == expected
+
+
+# ---------------------------------------------------------------- limits
+
+
+@pytest.mark.parametrize("limit", [1e-300, 1e-77, 0.0, -1.0, math.nan,
+                                   math.inf])
+def test_step_rejects_a_speed_limit_the_idm_cannot_take(limit):
+    ring = make_ring([0.0, 50.0, 120.0], [10.0, 30.0, 0.0], length=200.0)
+    with pytest.raises(ValueError, match="speed limit"):
+        ringmod.step(ring, 0.0, limit)
+    # (30 / 1e-75) ** 4 is finite: the step runs, and its snapshot loads
+    out, _ = ringmod.step(ring, 0.0, 1e-75)
+    assert np.isfinite(out._a).all()
+    snapshot_from_json(snapshot_to_json(out))

@@ -2,6 +2,8 @@
 invariants hold, and the step equals a reference rule bit for bit, also after
 every operation that changes a ring between two steps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -19,43 +21,34 @@ from ringflow import (
 )
 from ringflow import ring as ringmod
 from ringflow.dqn import ACTION_ACCELS, EnvSpec, RingEnv
-from ringflow.idm import idm_acceleration_vec
+
+from conftest import rings
 
 P = IdmParams()
 STEPS = 8
 COLUMNS = ("_ids", "_cav", "_pos", "_v", "_a")
 
 
-@st.composite
-def rings(draw, min_n=0):
-    """A ring of 0..30 vehicles with positive gaps, speeds in [0, v0] and
-    CAV marks; the wrap-around falls anywhere in the arrays."""
-    n = draw(st.integers(min_n, 30))
-    gaps = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n))
-    speeds = draw(st.lists(st.floats(0.0, P.v0), min_size=n, max_size=n))
-    cav = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    length = sum(g + P.vehicle_length for g in gaps) or 100.0
-    offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * length
-    steps = [0.0] + [g + P.vehicle_length for g in gaps[:-1]]
-    ring = RingState(length=length, params=P)
-    ring._ids = np.arange(n, dtype=np.int64)
-    ring._cav = np.array(cav, dtype=bool)
-    ring._pos = (offset + np.cumsum(steps[:n])) % length
-    ring._v = np.array(speeds, dtype=np.float64)
-    ring._a = np.zeros(n)
-    ring._next_id = n
-    return ring
-
-
-# (cav_accel, v_desired); a speed limit of at least 0.1 m/s keeps every IDM
-# term finite
-commands = st.tuples(st.sampled_from(ACTION_ACCELS),
+# (cav_accel, v_desired); -0.0 is a command too, and a speed limit of at
+# least 0.1 m/s keeps every IDM term finite
+commands = st.tuples(st.sampled_from(ACTION_ACCELS + (-0.0,)),
                      st.none() | st.floats(0.1, P.v0))
 
 
+def reference_idm(v, leader_v, gap, p, v_desired):
+    """The IDM acceleration as first vectorized, written out here, so that a
+    reordered expression in ``idm_acceleration_vec`` cannot match itself."""
+    vd = p.v0 if v_desired is None else v_desired
+    dv = v - leader_v
+    s_star = p.s0 + np.maximum(
+        0.0, v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b)))
+    return p.a_max * (1.0 - (v / vd) ** p.delta - (s_star / gap) ** 2)
+
+
 def reference_step(ring, cav_accel, v_desired):
-    """The step rule as first written, with ``np.roll``, on copies of the
-    ring's columns.  Returns ``(pos, v, a, CollisionReport | None)``."""
+    """The step rule as first written, with ``np.roll`` and ``np.clip``, on
+    copies of the ring's columns.  Returns ``(pos, v, a, CollisionReport |
+    None)``."""
     p, n, length, dt = ring.params, ring.n, ring.length, ring.dt
     ids, cav, pos, v, a = (np.array(getattr(ring, c)) for c in COLUMNS)
     if n == 0:
@@ -66,7 +59,7 @@ def reference_step(ring, cav_accel, v_desired):
     else:
         gaps = (np.roll(pos, -1) - pos) % length - p.vehicle_length
         lead_v = np.roll(v, -1)
-    accel = idm_acceleration_vec(v, lead_v, gaps, p, v_desired=v_desired)
+    accel = reference_idm(v, lead_v, gaps, p, v_desired)
     if cav.any():
         accel = np.where(cav, cav_accel, accel)
     v_new = np.clip(v + accel * dt, 0.0, p.v0)
@@ -161,6 +154,31 @@ def test_a_change_between_steps_leaves_no_stale_gaps(change, ring, first,
     assume(report is None)
     changed = CHANGES[change](ring)
     step_matching_reference(changed, *second)
+
+
+def test_clip_keeps_a_speed_of_negative_zero():
+    # a stopped CAV at -0.0 m/s commanded -0.0 m/s^2: v + a * dt is -0.0,
+    # which np.clip keeps and np.minimum(np.maximum(x, 0.0), v0) does not
+    ring = RingState(length=200.0)
+    for x, v, cav in ((0.0, 10.0, False), (50.0, -0.0, True),
+                      (120.0, 10.0, False)):
+        ring._insert(x, v, cav=cav)
+    out, report = step_matching_reference(ring, -0.0)
+    assert report is None
+    assert np.signbit(out._v).tolist() == [False, True, False]
+
+
+def test_a_gap_of_exactly_zero_is_a_collision():
+    # two stopped CAVs bumper to bumper, commanded to hold: the gap stays 0.0
+    # (the IDM term they do not use divides by it)
+    ring = RingState(length=200.0)
+    for x in (0.0, P.vehicle_length):
+        ring._insert(x, 0.0, cav=True)
+    with np.errstate(divide="ignore"):
+        out, report = step_matching_reference(ring, 0.0)
+    assert report == CollisionReport(step=1, follower_id=0, leader_id=1,
+                                     gap=0.0)
+    assert out.terminal
 
 
 def test_the_collision_check_gaps_serve_the_next_step():
