@@ -28,10 +28,8 @@ def main():
     ring = RingState(c.length, c.dt, c.idm)
     print(f"loading {c.load_target} vehicles onto a {c.length:.0f} m loop...")
     ring, loading = load_vehicles(ring, c.load_target)
-    peak = peak_flow(loading)
-    print(
-        f"loading peak: {peak.flow:.0f} veh/h at {peak.density:.1f} veh/km"
-    )
+    density, flow = peak_flow(loading)
+    print(f"loading peak: {flow:.0f} veh/h at {density:.1f} veh/km")
 
     print("draining the loop one vehicle at a time...")
     _, unloading = unload_incrementally(ring, removal_seed=c.removal_seed)

@@ -24,7 +24,6 @@ from .ring import (
     TrajectoryRecorder,
 )
 from .metrics import (
-    FdSample,
     FdTrace,
     Phase,
     TraceRecorder,

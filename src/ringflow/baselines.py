@@ -97,13 +97,13 @@ def run_idm_recovery(snapshot, steps, phase=metrics.Phase.UNLOADING):
     return rec.finish()
 
 
-def run_vsl(snapshot, policy, steps, phase=metrics.Phase.UNLOADING):
+def run_vsl(snapshot, policy, steps):
     """All-human run with the active speed limit capping IDM desired speed.
 
     Returns ``(FdTrace, per-step active limit array)``.
     """
     ring = ringmod.revert_to_human(snapshot)
-    rec = metrics.TraceRecorder(phase)
+    rec = metrics.TraceRecorder(metrics.Phase.UNLOADING)
     control = policy.controller(ring.params.v0)
     limits = []
 
@@ -156,7 +156,7 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
     # lets the snapshot be taken at the peak without rolling out again
     rings = []
     ringmod.rollout(env_spec.snapshot, search_steps, greedy, rings.append)
-    flows = [metrics.measure(r).flow for r in rings]
+    flows = [metrics.measure(r)[1] for r in rings]
     peak_step = find_flow_peak_step(flows)
     snap = rings[peak_step]
 

@@ -36,6 +36,13 @@ def _load_config(args):
     return config
 
 
+def _step_count(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _input_file(path):
     if not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"no such file: {path}")
@@ -55,8 +62,8 @@ def cmd_hysteresis(args):
     svgplot.fundamental_diagram_chart(
         [loading, unloading], "Loading vs unloading fundamental diagram"
     ).write(os.path.join(out, "fundamental_diagram.svg"))
-    peak = metrics.peak_flow(loading)
-    print(f"loading peak flow {peak.flow:.1f} veh/h at {peak.density:.1f} veh/km")
+    density, flow = metrics.peak_flow(loading)
+    print(f"loading peak flow {flow:.1f} veh/h at {density:.1f} veh/km")
     print(f"wrote traces and plot under {out}")
     return 0
 
@@ -200,7 +207,7 @@ def build_parser():
         sp.add_argument("--out", help=f"output dir (or ${ENV_OUT_ROOT})")
         sp.add_argument("--profile", choices=cfg.PROFILES, default="full")
         if steps_default is not None:
-            sp.add_argument("--steps", type=int, default=steps_default)
+            sp.add_argument("--steps", type=_step_count, default=steps_default)
 
     sp = sub.add_parser("hysteresis", help="loading/unloading FD branches")
     common(sp)
@@ -222,7 +229,7 @@ def build_parser():
     common(sp, steps_default=2000)
     sp.add_argument("--checkpoint", type=_input_file,
                     help="checkpoint for the CAV branches")
-    sp.add_argument("--extra-steps", type=int, default=200)
+    sp.add_argument("--extra-steps", type=_step_count, default=200)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("mpr-calc", help="minimum CAV count from headways")

@@ -7,13 +7,13 @@ DDQN hyperparameters, reward constants, and the VSL rule table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import reduce
 
 from .baselines import VslPolicy, VslRule, default_vsl_policy
-from .dqn import DdqnConfig, EpsilonSchedule, RewardConfig
+from .dqn import (DdqnConfig, EpsilonSchedule, RewardConfig,
+                  check_episode_bounds)
 from .idm import IdmParams
 from .net import LrSchedule, MlpSpec, DESK_SPEC
 from .ring import FormationStrategy, RingState
@@ -50,10 +50,7 @@ class ScenarioConfig:
         for name in ("removal_seed", "cav_count"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.max_episode_steps < 1:
-            raise ValueError("max_episode_steps must be >= 1")
-        if not 0.0 <= self.speed_jitter < math.inf:
-            raise ValueError("speed_jitter must be finite and >= 0")
+        check_episode_bounds(self.max_episode_steps, self.speed_jitter)
 
 
 # Named scenario presets mirroring the experiment suite, as the fields they

@@ -110,8 +110,17 @@ class EnvSpec:
     speed_jitter: float = 0.0  # relative, e.g. 0.05 for +-5%
 
     def __post_init__(self):
-        if self.success_flow_threshold <= 0:
-            raise ValueError("success_flow_threshold must be > 0")
+        if not 0.0 < self.success_flow_threshold < math.inf:
+            raise ValueError("success_flow_threshold must be finite and > 0")
+        check_episode_bounds(self.max_episode_steps, self.speed_jitter)
+
+
+def check_episode_bounds(max_episode_steps, speed_jitter):
+    """Bounds shared by EnvSpec and the ScenarioConfig that builds it."""
+    if max_episode_steps < 1:
+        raise ValueError("max_episode_steps must be >= 1")
+    if not 0.0 <= speed_jitter < math.inf:
+        raise ValueError("speed_jitter must be finite and >= 0")
 
 
 def observation(ring):
@@ -163,8 +172,8 @@ class RingEnv:
         self.ring, report = ringmod.step(self.ring, cav_accel=accel)
         self._steps += 1
 
-        sample = metrics.measure(self.ring)
-        reward = sample.mean_speed
+        _, flow, mean_speed = metrics.measure(self.ring)
+        reward = mean_speed
         rc = self.spec.reward
         collided = report is not None
         success = False
@@ -174,7 +183,7 @@ class RingEnv:
             self._done = True
         elif (
             not self._succeeded
-            and sample.flow > self.spec.success_flow_threshold
+            and flow > self.spec.success_flow_threshold
         ):
             success = True
             self._succeeded = True
@@ -185,8 +194,8 @@ class RingEnv:
             self._done = True
             truncated = True
         info = {
-            "flow": sample.flow,
-            "mean_speed": sample.mean_speed,
+            "flow": flow,
+            "mean_speed": mean_speed,
             "collision": collided,
             "success": success,
             "truncated": truncated,

@@ -18,15 +18,6 @@ class Phase(Enum):
     CONTROLLED = "controlled"
 
 
-@dataclass(frozen=True)
-class FdSample:
-    density: float  # veh/km
-    flow: float  # veh/h
-    mean_speed: float  # m/s
-    phase: Phase
-    step: int
-
-
 @dataclass
 class FdTrace:
     """Fundamental-diagram trace: array-backed, ordered by step."""
@@ -72,9 +63,10 @@ class FdTrace:
             rows = [line.strip().split(",") for line in f if line.strip()]
         if not rows:
             raise ValueError("empty FdTrace file")
-        phase = Phase(rows[0][1])
+        if any(len(r) != 5 or r[1] != rows[0][1] for r in rows):
+            raise ValueError("FdTrace rows need five fields and one phase")
         return FdTrace(
-            phase=phase,
+            phase=Phase(rows[0][1]),
             steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
             density=np.array([float(r[2]) for r in rows]),
             flow=np.array([float(r[3]) for r in rows]),
@@ -93,12 +85,11 @@ class TraceRecorder:
         self._speed = []
 
     def record(self, ring):
-        s = measure(ring, self.phase)
-        self._steps.append(s.step)
-        self._density.append(s.density)
-        self._flow.append(s.flow)
-        self._speed.append(s.mean_speed)
-        return s
+        density, flow, mean_speed = measure(ring)
+        self._steps.append(ring.step_count)
+        self._density.append(density)
+        self._flow.append(flow)
+        self._speed.append(mean_speed)
 
     def finish(self):
         return FdTrace(
@@ -110,15 +101,15 @@ class TraceRecorder:
         )
 
 
-def measure(ring, phase=Phase.CONTROLLED):
-    """Instantaneous loop-wide sample: k = N/L, u = mean speed, q = k*u."""
+def measure(ring):
+    """Instantaneous loop-wide ``(density, flow, mean_speed)``, in FdTrace
+    column order: k = N/L, u = mean speed, q = k*u."""
     n = ring.n
     if n == 0:
-        return FdSample(0.0, 0.0, 0.0, phase, ring.step_count)
+        return 0.0, 0.0, 0.0
     density = n / ring.length * 1000.0  # veh/km
     u = ring.mean_speed()
-    flow = density * u * 3.6  # veh/km * m/s -> veh/h
-    return FdSample(density, flow, u, phase, ring.step_count)
+    return density, density * u * 3.6, u  # veh/km * m/s -> veh/h
 
 
 def _branch_curve(trace):
@@ -157,14 +148,8 @@ def hysteresis_gap(loading, unloading, density):
 
 
 def peak_flow(trace):
-    """The (first) maximum-flow sample of a trace as an FdSample."""
+    """``(density, flow)`` of the trace's first maximum-flow sample."""
     if len(trace) == 0:
         raise ValueError("peak_flow of an empty trace")
     i = int(np.argmax(trace.flow))
-    return FdSample(
-        density=float(trace.density[i]),
-        flow=float(trace.flow[i]),
-        mean_speed=float(trace.mean_speed[i]),
-        phase=trace.phase,
-        step=int(trace.steps[i]),
-    )
+    return float(trace.density[i]), float(trace.flow[i])

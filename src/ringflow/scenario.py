@@ -69,7 +69,7 @@ def build_scenario(config):
 
     env_spec = EnvSpec(
         snapshot=ring,
-        success_flow_threshold=metrics.peak_flow(loading_trace).flow,
+        success_flow_threshold=metrics.peak_flow(loading_trace)[1],
         max_episode_steps=config.max_episode_steps,
         reward=config.reward,
         speed_jitter=config.speed_jitter,

@@ -161,13 +161,13 @@ def test_switch_back_zero_extra_steps_single_sample():
     spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
     res = run_switch_back(_coast_policy(), spec, extra_steps=0,
                           search_steps=300)
-    s = measure(res.snapshot)
+    density, flow, mean_speed = measure(res.snapshot)
     for trace in (res.cav_trace, res.reverted_trace):
         assert len(trace) == 1
         assert trace.phase is Phase.CONTROLLED
         assert (trace.steps[0], trace.density[0], trace.flow[0],
-                trace.mean_speed[0]) == (s.step, s.density, s.flow,
-                                         s.mean_speed)
+                trace.mean_speed[0]) == (res.snapshot.step_count, density,
+                                         flow, mean_speed)
 
 
 def test_switch_back_needs_a_search_step():

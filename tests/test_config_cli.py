@@ -235,6 +235,22 @@ def test_cli_seed_is_a_train_flag(tmp_path, capsys):
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--steps"),
+    ("compare", "--steps"),
+    ("compare", "--extra-steps"),
+])
+def test_cli_negative_step_counts_are_usage_errors(tmp_path, capsys,
+                                                   command, flag):
+    checkpoint = tmp_path / "ck.bin"
+    checkpoint.write_bytes(b"")
+    code = cli_main([command, flag, "-5", "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_evaluate_requires_checkpoint(tmp_path):
     code = cli_main([
         "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),

@@ -161,6 +161,20 @@ def _equilibrium_spec(n=20, **kw):
     return EnvSpec(snapshot=ring, **kw), v_eq
 
 
+@pytest.mark.parametrize("field, value", [
+    ("success_flow_threshold", float("nan")),
+    ("success_flow_threshold", float("inf")),
+    ("success_flow_threshold", 0.0),
+    ("max_episode_steps", 0),
+    ("speed_jitter", float("nan")),
+    ("speed_jitter", float("inf")),
+    ("speed_jitter", -0.05),
+])
+def test_env_spec_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        _equilibrium_spec(**{field: value})
+
+
 def test_state_is_normalized_mean_speed():
     spec, v_eq = _equilibrium_spec()
     env = RingEnv(spec)

@@ -23,28 +23,22 @@ from conftest import make_ring, rings, trace_of
 def test_empty_loop_measures_zero():
     from ringflow import RingState
 
-    s = measure(RingState())
-    assert (s.density, s.flow, s.mean_speed) == (0.0, 0.0, 0.0)
+    assert measure(RingState()) == (0.0, 0.0, 0.0)
 
 
 def test_fifty_vehicles_at_ten_mps():
     r = make_ring([i * 20.0 for i in range(50)], [10.0] * 50)
-    s = measure(r)
-    assert s.density == pytest.approx(50.0)
-    assert s.mean_speed == pytest.approx(10.0)
-    assert s.flow == pytest.approx(1800.0)
+    density, flow, mean_speed = measure(r)
+    assert density == pytest.approx(50.0)
+    assert mean_speed == pytest.approx(10.0)
+    assert flow == pytest.approx(1800.0)
 
 
 def test_jam_state_has_zero_flow():
     r = make_ring([i * 14.0 for i in range(68)], [0.0] * 68)
-    s = measure(r)
-    assert s.density == pytest.approx(68.0)
-    assert s.flow == 0.0
-
-
-def test_measure_tags_phase():
-    r = make_ring([0.0], [5.0])
-    assert measure(r, Phase.LOADING).phase is Phase.LOADING
+    density, flow, _ = measure(r)
+    assert density == pytest.approx(68.0)
+    assert flow == 0.0
 
 
 @given(rings())
@@ -54,23 +48,41 @@ def test_mean_speed_and_measure_match_their_formulas_bit_for_bit(ring):
     density = n / ring.length * 1000.0 if n else 0.0
     flow = density * u * 3.6 if n else 0.0
     assert ring.mean_speed().hex() == u.hex()
-    s = measure(ring, Phase.UNLOADING)
-    assert [x.hex() for x in (s.density, s.flow, s.mean_speed)] == \
-        [x.hex() for x in (density, flow, u)]
-    assert (s.phase, s.step) == (Phase.UNLOADING, ring.step_count)
+    s = measure(ring)
+    assert all(type(x) is float for x in s)
+    assert [x.hex() for x in s] == [x.hex() for x in (density, flow, u)]
 
 
 # ---------------------------------------------------------------- traces
 
 
 def test_trace_round_trip(tmp_path):
-    t = trace_of([(10, 600), (20, 1200), (30, 1500)])
+    # values that nine significant digits hold exactly read back exactly
+    t = FdTrace(phase=Phase.UNLOADING, steps=np.array([3, 4, 9]),
+                density=np.array([10.0, 20.5, 68.0]),
+                flow=np.array([600.25, 0.0, 1799.125]),
+                mean_speed=np.array([16.5, 0.0, 7.25]))
     p = tmp_path / "t.csv"
     t.write(p)
     t2 = FdTrace.read(p)
-    np.testing.assert_allclose(t2.density, t.density)
-    np.testing.assert_allclose(t2.flow, t.flow)
     assert t2.phase is t.phase
+    for name in ("steps", "density", "flow", "mean_speed"):
+        a, b = getattr(t2, name), getattr(t, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("body", [
+    "0,loading,1,2\n",
+    "0,loading,1,2,3,4\n",
+    "0,loading,1,2,3\n1,unloading,1,2,3\n",
+    "0,loading,1,2,3\n1\n",
+])
+def test_read_rejects_a_malformed_file(tmp_path, body):
+    p = tmp_path / "t.csv"
+    p.write_text("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n"
+                 + body)
+    with pytest.raises(ValueError, match="five fields and one phase"):
+        FdTrace.read(p)
 
 
 def _reference_csv(trace):
@@ -104,6 +116,8 @@ def test_recorder_collects_samples():
     t = rec.finish()
     assert len(t) == 2
     assert t.phase is Phase.UNLOADING
+    assert [t.density[0], t.flow[0], t.mean_speed[0]] == list(measure(r))
+    assert t.steps.tolist() == [r.step_count] * 2
 
 
 def test_decimate_keeps_every_kth():
@@ -139,20 +153,17 @@ def test_interp_outside_range_raises():
 
 def test_peak_single_sample():
     t = trace_of([(10, 600)])
-    s = peak_flow(t)
-    assert (s.density, s.flow) == (10.0, 600.0)
+    assert peak_flow(t) == (10.0, 600.0)
 
 
 def test_peak_direct_max():
     t = trace_of([(10, 600), (30, 1500), (50, 1100)])
-    s = peak_flow(t)
-    assert (s.density, s.flow) == (30.0, 1500.0)
+    assert peak_flow(t) == (30.0, 1500.0)
 
 
 def test_peak_tie_breaks_to_first():
     t = trace_of([(20, 900), (40, 900)])
-    s = peak_flow(t)
-    assert (s.density, s.flow) == (20.0, 900.0)
+    assert peak_flow(t) == (20.0, 900.0)
 
 
 def test_peak_of_empty_trace_raises():
