@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,13 +16,10 @@ from . import baselines, config as cfg, dqn, metrics, mpr, net as qnet, ring
 from . import scenario as scen
 from . import svgplot
 
-ENV_OUT_ROOT = "RINGFLOW_OUT"
 
-
-def _out_dir(args, config):
-    root = args.out or os.environ.get(ENV_OUT_ROOT) or config.out_dir
-    os.makedirs(root, exist_ok=True)
-    return root
+def _out_dir(args):
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _load_config(args):
@@ -32,7 +28,7 @@ def _load_config(args):
     if args.config:
         return cfg.load_config(args.config, config)
     if args.preset:
-        return replace(config, **cfg.PRESETS[args.preset])
+        return cfg.config_from_kv(cfg.PRESETS[args.preset], config)
     return config
 
 
@@ -43,6 +39,12 @@ def _step_count(text):
     return n
 
 
+def _output_dir(path):
+    if not path:
+        raise argparse.ArgumentTypeError("must name a directory")
+    return path
+
+
 def _input_file(path):
     if not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"no such file: {path}")
@@ -51,7 +53,7 @@ def _input_file(path):
 
 def cmd_hysteresis(args):
     config = _load_config(args)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     r = ring.RingState(config.length, config.dt, config.idm)
     r, loading = ring.load_vehicles(r, config.load_target)
     _, unloading = scen.unload_incrementally(
@@ -71,8 +73,8 @@ def cmd_hysteresis(args):
 def cmd_train(args):
     config = _load_config(args)
     if args.seed is not None:
-        config = replace(config, ddqn=replace(config.ddqn, seed=args.seed))
-    out = _out_dir(args, config)
+        config = cfg.config_from_kv({"ddqn.seed": str(args.seed)}, config)
+    out = _out_dir(args)
     built = scen.build_scenario(config)
     ring.save_snapshot(built.post_removal_ring, os.path.join(out, "snapshot.json"))
     built.loading_trace.write(os.path.join(out, "loading_trace.csv"),
@@ -100,7 +102,7 @@ def cmd_evaluate(args):
     config = _load_config(args)
     policy, _ = qnet.load_checkpoint(args.checkpoint,
                                      expect_spec=config.net_spec)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     built = scen.build_scenario(config)
     trace, traj = dqn.evaluate(policy, built.env_spec, args.steps,
                                record_trajectory=True)
@@ -131,7 +133,7 @@ def cmd_compare(args):
     if args.checkpoint:
         policy, _ = qnet.load_checkpoint(args.checkpoint,
                                          expect_spec=config.net_spec)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     built = scen.build_scenario(config)
     horizon = args.steps
     idm_trace = baselines.run_idm_recovery(built.env_spec.snapshot, horizon)
@@ -204,8 +206,10 @@ def build_parser():
         source.add_argument("--config", type=_input_file,
                             help="key = value config file")
         source.add_argument("--preset", choices=list(cfg.PRESETS))
-        sp.add_argument("--out", help=f"output dir (or ${ENV_OUT_ROOT})")
-        sp.add_argument("--profile", choices=cfg.PROFILES, default="full")
+        sp.add_argument("--out", type=_output_dir, default="out",
+                        help="output dir (default: out)")
+        sp.add_argument("--profile", choices=list(cfg.PROFILES),
+                        default="full")
         if steps_default is not None:
             sp.add_argument("--steps", type=_step_count, default=steps_default)
 

@@ -12,10 +12,9 @@ from enum import Enum
 from functools import reduce
 
 from .baselines import VslPolicy, VslRule, default_vsl_policy
-from .dqn import (DdqnConfig, EpsilonSchedule, RewardConfig,
-                  check_episode_bounds)
+from .dqn import DdqnConfig, RewardConfig, check_episode_bounds
 from .idm import IdmParams
-from .net import LrSchedule, MlpSpec, DESK_SPEC
+from .net import MlpSpec
 from .ring import FormationStrategy, RingState
 
 
@@ -39,7 +38,6 @@ class ScenarioConfig:
     vsl: VslPolicy = field(default_factory=default_vsl_policy)
     max_episode_steps: int = 3000
     speed_jitter: float = 0.0
-    out_dir: str = "out"
 
     def __post_init__(self):
         RingState(self.length, self.dt, self.idm)  # checks length and dt
@@ -53,46 +51,48 @@ class ScenarioConfig:
         check_episode_bounds(self.max_episode_steps, self.speed_jitter)
 
 
-# Named scenario presets mirroring the experiment suite, as the fields they
-# change from the defaults.
+# Named scenario presets mirroring the experiment suite, and the training
+# profiles, as the config keys they change and their values: what
+# ``parse_kv`` returns for a file of those lines.
 PRESETS = {
-    "mpr33": dict(removal_schedule=(17,), cav_count=17,
-                  formation=FormationStrategy.PLATOON),
-    "mpr15": dict(removal_schedule=(9,), cav_count=9),
-    "mpr66": dict(removal_schedule=(17,), cav_count=34),
-    "two-step": dict(removal_schedule=(17, 12), cav_count=13),
+    "mpr33": {"scenario.removal_schedule": "17", "scenario.cav_count": "17",
+              "scenario.formation": "platoon"},
+    "mpr15": {"scenario.removal_schedule": "9", "scenario.cav_count": "9"},
+    "mpr66": {"scenario.removal_schedule": "17", "scenario.cav_count": "34"},
+    "two-step": {"scenario.removal_schedule": "17, 12",
+                 "scenario.cav_count": "13"},
 }
 
-PROFILES = ("full", "desk")
+# 'full' keeps the published sizes; 'desk' shrinks the net and the budgets.
+PROFILES = {
+    "full": {},
+    "desk": {
+        "net.hidden_dims": "64, 64",
+        "ddqn.episodes": "500",
+        "ddqn.total_train_steps": "150000",
+        "ddqn.target_sync_period": "500",
+        "ddqn.min_buffer_before_learning": "500",
+        "ddqn.epsilon.decay_steps": "40000",
+        "ddqn.lr.total_steps": "150000",
+        "scenario.max_episode_steps": "600",
+    },
+}
+
+
+def _named(table, kind, name):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r} (have {sorted(table)})")
+    return table[name]
 
 
 def preset(name):
-    """The default config with the fields of preset ``name`` changed."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
-    return replace(ScenarioConfig(), **PRESETS[name])
+    """The default config with the values of preset ``name``."""
+    return config_from_kv(_named(PRESETS, "preset", name))
 
 
 def apply_profile(config, profile):
-    """'full' keeps the published sizes; 'desk' shrinks net and budgets."""
-    if profile == "full":
-        return config
-    if profile == "desk":
-        return replace(
-            config,
-            net_spec=DESK_SPEC,
-            ddqn=replace(
-                config.ddqn,
-                episodes=500,
-                total_train_steps=150_000,
-                target_sync_period=500,
-                min_buffer_before_learning=500,
-                epsilon=EpsilonSchedule(decay_steps=40_000),
-                lr=LrSchedule(total_steps=150_000),
-            ),
-            max_episode_steps=600,
-        )
-    raise ConfigError(f"unknown profile {profile!r} (have {PROFILES})")
+    """``config`` with the values of training profile ``profile``."""
+    return config_from_kv(_named(PROFILES, "profile", profile), config)
 
 
 # -- key = value (de)serialization ---------------------------------------
@@ -160,11 +160,7 @@ def _format(value):
         return repr(float(value))
     if isinstance(value, Enum):
         return value.value
-    text = str(value)
-    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
-        raise ConfigError(f"cannot write {text!r}: a value is one line with "
-                          "no '#' and no space at either end")
-    return text
+    return str(value)
 
 
 def _with(obj, updates):
@@ -224,8 +220,7 @@ def config_from_kv(kv, base=None):
 
 def config_to_kv(c):
     """Serialize a ScenarioConfig to the flat dotted-key text format;
-    integers are written plainly and floats exactly (``repr``).  A value
-    that would not read back as written is a ``ConfigError``."""
+    integers are written plainly and floats exactly (``repr``)."""
     return "".join(f"{key} = {_format(_get(c, path))}\n"
                    for key, path in _KEYS.items())
 

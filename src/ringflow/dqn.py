@@ -71,12 +71,8 @@ class EpsilonSchedule:
 
 def epsilon_at(schedule, step):
     """Linear decay start -> end, flat at end past decay_steps."""
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    if step >= schedule.decay_steps:
-        return schedule.end
-    frac = step / schedule.decay_steps
-    return schedule.start + (schedule.end - schedule.start) * frac
+    return qnet.linear_decay(schedule.start, schedule.end,
+                             schedule.decay_steps, step)
 
 
 def select_action(q_values, epsilon, rng):
@@ -275,17 +271,14 @@ class TrainResult:
                 )
 
 
-def train(env, config, spec=None):
-    """Run the DDQN loop; fully deterministic for a given config seed.
+def train(env, config, spec):
+    """Run the DDQN loop with a Q-network of ``spec``; fully deterministic
+    for a given config seed.
 
     ``env`` is anything with reset()/step()/n_actions/state_dim.  Timeout
     (truncated) transitions are stored non-terminal so the bootstrap target
     is unbiased.  Returns a TrainResult.
     """
-    if spec is None:
-        spec = qnet.MlpSpec(
-            input_dim=env.state_dim, output_dim=env.n_actions
-        )
     if spec.output_dim != env.n_actions or spec.input_dim != env.state_dim:
         raise ValueError("network spec does not match environment dimensions")
 

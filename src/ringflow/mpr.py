@@ -27,8 +27,9 @@ class HeadwayScenario:
     cav_headway: float  # s, desired CAV headway
 
     def __post_init__(self):
-        if min(self.prev_headway, self.cur_headway, self.cav_headway) <= 0:
-            raise ValueError("all headways must be positive")
+        if not all(0 < h < math.inf for h in (
+                self.prev_headway, self.cur_headway, self.cav_headway)):
+            raise ValueError("all headways must be finite and positive")
         if self.total_vehicles < 1:
             raise ValueError("total_vehicles must be >= 1")
 

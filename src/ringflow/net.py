@@ -41,9 +41,6 @@ class MlpSpec:
         return sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
 
 
-DESK_SPEC = MlpSpec(hidden_dims=(64, 64))
-
-
 class QNetwork:
     """All parameters in one float64 vector ``params``: layer by layer, the
     weight matrix (fan_in x fan_out, row-major) and then the bias vector.
@@ -243,14 +240,20 @@ class LrSchedule:
             raise ValueError("lr total_steps must be >= 0")
 
 
-def lr_at(schedule, step):
-    """Linear decay base -> final over total_steps, clamped past the end."""
+def linear_decay(start, end, steps, step):
+    """``start`` -> ``end`` linearly over ``steps`` steps, flat at ``end``
+    from then on; the one rule of the lr and epsilon schedules."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    if step >= schedule.total_steps:
-        return schedule.final
-    frac = step / schedule.total_steps
-    return schedule.base + (schedule.final - schedule.base) * frac
+    if step >= steps:
+        return end
+    return start + (end - start) * (step / steps)
+
+
+def lr_at(schedule, step):
+    """Linear decay base -> final over total_steps, clamped past the end."""
+    return linear_decay(schedule.base, schedule.final, schedule.total_steps,
+                        step)
 
 
 # -- checkpoint i/o -------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import repeat
 
@@ -412,7 +412,6 @@ def revert_to_human(ring):
 
 
 def snapshot_to_json(ring):
-    p = ring.params
     doc = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -421,15 +420,7 @@ def snapshot_to_json(ring):
         "step_count": ring.step_count,
         "terminal": ring.terminal,
         "next_id": ring._next_id,
-        "idm": {
-            "v0": p.v0,
-            "T": p.T,
-            "a_max": p.a_max,
-            "b": p.b,
-            "delta": p.delta,
-            "s0": p.s0,
-            "vehicle_length": p.vehicle_length,
-        },
+        "idm": asdict(ring.params),
         "vehicles": [
             {
                 "id": int(ring._ids[i]),
@@ -444,12 +435,21 @@ def snapshot_to_json(ring):
     return json.dumps(doc, indent=2)
 
 
+def _exactly(kind, name, value):
+    """``value`` if its type is ``kind`` itself (a bool is no int here)."""
+    if type(value) is not kind:
+        raise ValueError(f"snapshot {name} must be {kind.__name__}, "
+                         f"got {value!r}")
+    return value
+
+
 def snapshot_from_json(text):
     """Read a snapshot document back into a ring.  ``ValueError`` if a field
-    is missing, a number is not finite, ids repeat or reach ``next_id``, a
-    kind is unknown, positions leave [0, length) or cyclic ring order, or
-    speeds leave [0, v0].  Other keys, such as the unused seed that older
-    versions wrote, are ignored.
+    is missing, ``step_count``, ``next_id`` or an id is not an int,
+    ``terminal`` is not a bool, a number is not finite, ids repeat or reach
+    ``next_id``, a kind is unknown, positions leave [0, length) or cyclic
+    ring order, or speeds leave [0, v0].  Other keys, such as the unused
+    seed that older versions wrote, are ignored.
     """
     try:
         doc = json.loads(text)
@@ -461,10 +461,11 @@ def snapshot_from_json(text):
         raise ValueError(f"unsupported snapshot version {doc.get('version')}")
     try:
         ring = RingState(doc["length"], doc["dt"], IdmParams(**doc["idm"]))
-        ring.step_count = doc["step_count"]
-        ring.terminal = doc["terminal"]
-        ring._next_id = int(doc["next_id"])
-        rows = [(v["id"], VehicleKind(v["kind"]) is VehicleKind.CAV,
+        ring.step_count = _exactly(int, "step_count", doc["step_count"])
+        ring.terminal = _exactly(bool, "terminal", doc["terminal"])
+        ring._next_id = _exactly(int, "next_id", doc["next_id"])
+        rows = [(_exactly(int, "vehicle id", v["id"]),
+                 VehicleKind(v["kind"]) is VehicleKind.CAV,
                  v["position"], v["speed"], v["last_accel"])
                 for v in doc["vehicles"]]
         for (name, dtype), values in zip(_COLUMNS, zip(*rows)):

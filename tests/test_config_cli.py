@@ -57,7 +57,7 @@ def test_desk_profile_shrinks_the_run():
 
 def test_kv_round_trip():
     c = apply_profile(preset("mpr33"), "desk")
-    c = dataclasses.replace(c, removal_seed=99, out_dir="elsewhere")
+    c = dataclasses.replace(c, removal_seed=99)
     c2 = config_from_kv(parse_kv(config_to_kv(c)))
     assert c2 == c
 
@@ -86,11 +86,24 @@ def test_kv_round_trip_keeps_exact_types():
         _assert_same_typed(c, config_from_kv(parse_kv(config_to_kv(c))))
 
 
-@pytest.mark.parametrize("out_dir", ["runs/#3", "runs\n3", " runs", "runs\r"])
-def test_values_that_would_not_read_back_are_not_written(out_dir):
-    c = dataclasses.replace(ScenarioConfig(), out_dir=out_dir)
-    with pytest.raises(ConfigError):
-        config_to_kv(c)
+def test_presets_and_profiles_are_config_file_values():
+    for table in (*PRESETS.values(), *PROFILES.values()):
+        text = "".join(f"{key} = {value}\n" for key, value in table.items())
+        assert parse_kv(text) == table
+        config_from_kv(table)  # every key known, every value valid
+    with pytest.raises(ConfigError, match="unknown profile"):
+        apply_profile(ScenarioConfig(), "nope")
+
+
+def test_a_profile_changes_only_the_keys_it_names():
+    c = config_from_kv({"ddqn.epsilon.start": "0.5", "ddqn.lr.base": "0.01",
+                        "ddqn.gamma": "0.8"})
+    desk = apply_profile(c, "desk")
+    assert desk.ddqn.epsilon.start == 0.5 and desk.ddqn.lr.base == 0.01
+    assert desk.ddqn.gamma == 0.8
+    assert desk.ddqn.epsilon.decay_steps == 40_000
+    assert desk.ddqn.lr.total_steps == 150_000
+    assert apply_profile(c, "full") == c
 
 
 def test_values_parse_by_field_type():
@@ -198,6 +211,20 @@ def test_cli_mpr_calc_success(capsys):
     assert "10" in out
 
 
+@pytest.mark.parametrize("flag", ["--prev-headway", "--cur-headway",
+                                  "--cav-headway"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_mpr_calc_rejects_non_finite_headways(capsys, flag, value):
+    args = {"--prev-headway": "2.5", "--cur-headway": "2.6",
+            "--cav-headway": "2.0", flag: value}
+    code = cli_main(["mpr-calc", "--total", "60",
+                     *(part for item in args.items() for part in item)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "finite and positive" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_cli_mpr_calc_infeasible_exit_code():
     code = cli_main([
         "mpr-calc", "--total", "60", "--prev-headway", "2.5",
@@ -219,6 +246,27 @@ def test_cli_config_and_preset_are_exclusive(tmp_path):
     code = cli_main(["hysteresis", "--config", str(cfgfile),
                      "--preset", "mpr33", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_cli_out_is_the_only_output_dir_setting(monkeypatch, capsys):
+    monkeypatch.setenv("RINGFLOW_OUT", "elsewhere")
+    parse = build_parser().parse_args
+    for command in ("hysteresis", "train", "compare"):
+        assert parse([command]).out == "out"
+        assert parse([command, "--out", "runs/a"]).out == "runs/a"
+        assert cli_main([command, "--out", ""]) == 1
+        assert "argument --out: must name a directory" in \
+            capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown config key"):
+        config_from_kv({"scenario.out_dir": "runs"})
+
+
+def test_cli_train_seed_is_checked_as_a_config_value(tmp_path, capsys):
+    code = cli_main(["train", "--profile", "desk", "--seed", "-1",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unknown_subcommand():

@@ -1,5 +1,7 @@
 """Closed-form minimum CAV count from loop-average time headways."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +72,11 @@ def test_input_validation():
         HeadwayScenario(0.0, 2.6, 60, 2.0)
     with pytest.raises(ValueError):
         HeadwayScenario(2.5, 2.6, 0, 2.0)
+    for bad in (math.inf, math.nan, -math.inf):
+        for args in ((bad, 2.6, 60, 2.0), (2.5, bad, 60, 2.0),
+                     (2.5, 2.6, 60, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                HeadwayScenario(*args)
     s = HeadwayScenario(2.5, 2.6, 60, 2.0)
     with pytest.raises(ValueError):
         verify_headway(s, 61)

@@ -1,5 +1,7 @@
-"""What importing the package costs: numpy, and no scipy."""
+"""What importing the package costs: numpy, and no scipy; and no module
+imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,3 +19,30 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(source):
+    """The names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_module_uses_what_it_imports():
+    # __init__ imports to re-export
+    package = Path(ringflow.__file__).resolve().parent
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_imports("import os\nfrom a import b as c\nc()\n") == \
+        ["os (line 1)"]

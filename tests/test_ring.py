@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ringflow import (
+    CapacityError,
     CollisionReport,
     FormationStrategy,
     IdmParams,
@@ -188,6 +189,19 @@ def test_loading_count_and_trace_are_consistent():
     assert trace.density[-1] == pytest.approx(12.0)
 
 
+def test_load_past_the_loop_capacity_fails_before_stepping():
+    # 100 m // (s0 + vehicle_length = 7 m) holds 14 vehicles
+    with pytest.raises(CapacityError, match="exceeds loop capacity 14"):
+        load_vehicles(RingState(100.0), 15)
+
+
+def test_a_stalled_load_fails_after_the_step_budget(monkeypatch):
+    # the second vehicle waits out a cooldown far longer than 5 steps
+    monkeypatch.setattr(ringmod, "LOAD_MAX_STEPS", 5)
+    with pytest.raises(CapacityError, match="stalled at 1/2 vehicles"):
+        load_vehicles(RingState(), 2)
+
+
 # ---------------------------------------------------------------- removal
 
 
@@ -311,10 +325,22 @@ def _set_vehicle(i, key, value):
     _set_vehicle(0, "speed", -0.5),
     _set_vehicle(0, "speed", 30.5),  # above v0
     lambda doc: doc["vehicles"][0].pop("last_accel"),
+    lambda doc: doc.update(step_count="12"),
+    lambda doc: doc.update(step_count=12.0),
+    lambda doc: doc.update(step_count=True),
+    lambda doc: doc.update(terminal="no"),
+    lambda doc: doc.update(terminal=0),
+    lambda doc: doc.update(next_id=7.9),
+    lambda doc: doc.update(next_id=False),
+    _set_vehicle(0, "id", 0.5),
+    _set_vehicle(0, "id", "0"),
+    _set_vehicle(0, "id", True),
 ], ids=["duplicate-id", "next-id-in-use", "unknown-kind", "nan-speed",
         "infinite-length", "nan-idm", "position-past-length",
         "negative-position", "out-of-order", "negative-speed",
-        "speed-above-v0", "missing-field"])
+        "speed-above-v0", "missing-field", "step-count-str",
+        "step-count-float", "step-count-bool", "terminal-str", "terminal-int",
+        "next-id-float", "next-id-bool", "id-float", "id-str", "id-bool"])
 def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     snapshot_from_json(json.dumps(doc))  # the unedited document loads
