@@ -88,7 +88,6 @@ from .config import (
     apply_profile,
     load_config,
     preset,
-    save_config,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,9 @@
 """Command-line front end: hysteresis, train, evaluate, compare, mpr-calc.
 
+``train --out DIR`` leaves a run directory (``run.json``, ``snapshot.json``,
+``loading_trace.csv``, ``checkpoint.bin``) that ``evaluate --run DIR`` and
+``compare --run DIR`` read back instead of rebuilding the scenario.
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 infeasible
 result.
 """
@@ -7,6 +11,7 @@ result.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -23,8 +28,10 @@ def _out_dir(args):
 
 
 def _load_config(args):
-    """The profile's sizes, then the preset's or the file's values over them."""
-    config = cfg.apply_profile(cfg.ScenarioConfig(), args.profile)
+    """The profile's sizes (``train`` has a profile), then the preset's or
+    the file's values over them."""
+    config = cfg.apply_profile(cfg.ScenarioConfig(),
+                               getattr(args, "profile", "full"))
     if args.config:
         return cfg.load_config(args.config, config)
     if args.preset:
@@ -49,6 +56,36 @@ def _input_file(path):
     if not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"no such file: {path}")
     return path
+
+
+def _read_run(run_dir):
+    """A ``train`` output directory read back: ``(config, policy, env_spec,
+    loading_trace)``, from its ``run.json``, ``checkpoint.bin``,
+    ``snapshot.json`` and ``loading_trace.csv``.  ``ValueError`` if a file
+    is missing or malformed, or does not fit the run's config."""
+    try:
+        with open(os.path.join(run_dir, "run.json")) as f:
+            run = json.load(f)
+        if not (isinstance(run, dict) and type(run.get("config")) is str
+                and type(run.get("success_flow_threshold")) is float):
+            raise ValueError("run.json needs a config text and a float "
+                             "success_flow_threshold")
+        config = cfg.config_from_kv(cfg.parse_kv(run["config"]))
+        policy, _ = qnet.load_checkpoint(
+            os.path.join(run_dir, "checkpoint.bin"),
+            expect_spec=config.net_spec)
+        with open(os.path.join(run_dir, "snapshot.json")) as f:
+            snapshot = ring.snapshot_from_json(f.read())
+        loading = metrics.FdTrace.read(
+            os.path.join(run_dir, "loading_trace.csv"))
+    except (OSError, json.JSONDecodeError) as e:
+        raise ValueError(f"cannot read the training run {run_dir}: {e}") \
+            from None
+    if ((snapshot.length, snapshot.dt, snapshot.params)
+            != (config.length, config.dt, config.idm)):
+        raise ValueError("snapshot.json does not fit the run's config")
+    env_spec = scen.env_spec(config, snapshot, run["success_flow_threshold"])
+    return config, policy, env_spec, loading
 
 
 def cmd_hysteresis(args):
@@ -77,6 +114,10 @@ def cmd_train(args):
     out = _out_dir(args)
     built = scen.build_scenario(config)
     ring.save_snapshot(built.post_removal_ring, os.path.join(out, "snapshot.json"))
+    with open(os.path.join(out, "run.json"), "w") as f:
+        json.dump({"config": cfg.config_to_kv(config),
+                   "success_flow_threshold":
+                       built.env_spec.success_flow_threshold}, f, indent=2)
     built.loading_trace.write(os.path.join(out, "loading_trace.csv"),
                               decimation=10)
     env = dqn.RingEnv(built.env_spec,
@@ -99,17 +140,14 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    config = _load_config(args)
-    policy, _ = qnet.load_checkpoint(args.checkpoint,
-                                     expect_spec=config.net_spec)
+    config, policy, env_spec, loading = _read_run(args.run)
     out = _out_dir(args)
-    built = scen.build_scenario(config)
-    trace, traj = dqn.evaluate(policy, built.env_spec, args.steps,
+    trace, traj = dqn.evaluate(policy, env_spec, args.steps,
                                record_trajectory=True)
     trace.write(os.path.join(out, "evaluation_trace.csv"))
     traj.write(os.path.join(out, "trajectory.csv"))
     svgplot.fundamental_diagram_chart(
-        [built.loading_trace.decimate(10), trace],
+        [loading, trace],
         "Controlled rollout vs loading branch",
     ).write(os.path.join(out, "fd_overlay.svg"))
     svgplot.time_series_chart(trace, "mean_speed", config.dt,
@@ -118,7 +156,7 @@ def cmd_evaluate(args):
     svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
         os.path.join(out, "trajectories.svg"))
     if len(trace):
-        threshold = built.env_spec.success_flow_threshold
+        threshold = env_spec.success_flow_threshold
         exceeded = bool((trace.flow > threshold).any())
         print(f"max flow {trace.flow.max():.1f} veh/h "
               f"(threshold {threshold:.1f}, "
@@ -128,18 +166,16 @@ def cmd_evaluate(args):
 
 
 def cmd_compare(args):
-    config = _load_config(args)
-    policy = None
-    if args.checkpoint:
-        policy, _ = qnet.load_checkpoint(args.checkpoint,
-                                         expect_spec=config.net_spec)
+    if args.run:
+        config, policy, env_spec, _ = _read_run(args.run)
+    else:
+        config, policy = _load_config(args), None
+        env_spec = scen.build_scenario(config).env_spec
     out = _out_dir(args)
-    built = scen.build_scenario(config)
     horizon = args.steps
-    idm_trace = baselines.run_idm_recovery(built.env_spec.snapshot, horizon)
+    idm_trace = baselines.run_idm_recovery(env_spec.snapshot, horizon)
     idm_trace.write(os.path.join(out, "idm_recovery_trace.csv"))
-    vsl_trace, _ = baselines.run_vsl(built.env_spec.snapshot, config.vsl,
-                                     horizon)
+    vsl_trace, _ = baselines.run_vsl(env_spec.snapshot, config.vsl, horizon)
     vsl_trace.write(os.path.join(out, "vsl_trace.csv"))
     lines = [
         "scenario,branch,peak_flow_veh_h,final_flow_veh_h,peak_mean_speed_mps",
@@ -148,7 +184,7 @@ def cmd_compare(args):
     ]
     charts = [idm_trace, vsl_trace]
     if policy is not None:
-        sb = baselines.run_switch_back(policy, built.env_spec,
+        sb = baselines.run_switch_back(policy, env_spec,
                                        extra_steps=args.extra_steps)
         sb.cav_trace.write(os.path.join(out, "switchback_cav_trace.csv"))
         sb.reverted_trace.write(
@@ -201,38 +237,43 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, steps_default=None):
+    def scenario(sp):
+        """--config or --preset; returns their group."""
         source = sp.add_mutually_exclusive_group()
         source.add_argument("--config", type=_input_file,
                             help="key = value config file")
         source.add_argument("--preset", choices=list(cfg.PRESETS))
+        return source
+
+    def outputs(sp, steps_default=None):
         sp.add_argument("--out", type=_output_dir, default="out",
                         help="output dir (default: out)")
-        sp.add_argument("--profile", choices=list(cfg.PROFILES),
-                        default="full")
         if steps_default is not None:
             sp.add_argument("--steps", type=_step_count, default=steps_default)
 
     sp = sub.add_parser("hysteresis", help="loading/unloading FD branches")
-    common(sp)
+    scenario(sp)
+    outputs(sp)
     sp.set_defaults(func=cmd_hysteresis)
 
     sp = sub.add_parser("train", help="train the DDQN controller")
-    common(sp)
+    scenario(sp)
+    outputs(sp)
+    sp.add_argument("--profile", choices=list(cfg.PROFILES), default="full")
     sp.add_argument("--seed", type=int, default=None,
                     help="DDQN seed (sets ddqn.seed)")
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("evaluate", help="greedy rollout of a checkpoint")
-    common(sp, steps_default=2000)
-    sp.add_argument("--checkpoint", type=_input_file, required=True,
-                    help="checkpoint file")
+    sp = sub.add_parser("evaluate", help="greedy rollout of a trained run")
+    sp.add_argument("--run", required=True, help="output dir of train")
+    outputs(sp, steps_default=2000)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("compare", help="IDM vs VSL vs CAV switch-back")
-    common(sp, steps_default=2000)
-    sp.add_argument("--checkpoint", type=_input_file,
-                    help="checkpoint for the CAV branches")
+    scenario(sp).add_argument(
+        "--run", help="output dir of train: its scenario, plus the CAV "
+                      "branches")
+    outputs(sp, steps_default=2000)
     sp.add_argument("--extra-steps", type=_step_count, default=200)
     sp.set_defaults(func=cmd_compare)
 

@@ -228,8 +228,3 @@ def config_to_kv(c):
 def load_config(path, base=None):
     with open(path) as f:
         return config_from_kv(parse_kv(f.read()), base)
-
-
-def save_config(config, path):
-    with open(path, "w") as f:
-        f.write(config_to_kv(config))

@@ -106,8 +106,10 @@ class EnvSpec:
     speed_jitter: float = 0.0  # relative, e.g. 0.05 for +-5%
 
     def __post_init__(self):
-        if not 0.0 < self.success_flow_threshold < math.inf:
-            raise ValueError("success_flow_threshold must be finite and > 0")
+        threshold = self.success_flow_threshold
+        if isinstance(threshold, bool) or not 0.0 < threshold < math.inf:
+            raise ValueError("success_flow_threshold must be finite and > 0, "
+                             "not a bool")
         check_episode_bounds(self.max_episode_steps, self.speed_jitter)
 
 

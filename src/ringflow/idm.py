@@ -36,9 +36,10 @@ class IdmParams:
 
     def __post_init__(self):
         for name in ("v0", "T", "a_max", "b", "delta", "s0", "vehicle_length"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"IdmParams.{name} must be finite and strictly positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < math.inf:
+                raise ValueError(f"IdmParams.{name} must be finite and "
+                                 f"strictly positive, not a bool")
         if self.delta < 1:
             raise ValueError("IdmParams.delta must be >= 1")
         # the denominator of the braking term of s*, computed once (not a

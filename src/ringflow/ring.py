@@ -64,8 +64,10 @@ class RingState:
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
-        if not (0 < length < math.inf and 0 < dt < math.inf):
-            raise ValueError("length and dt must be finite and positive")
+        if (isinstance(length, bool) or isinstance(dt, bool)
+                or not (0 < length < math.inf and 0 < dt < math.inf)):
+            raise ValueError("length and dt must be finite and positive, "
+                             "not bools")
         self.length = float(length)
         self.dt = float(dt)
         self.params = params if params is not None else IdmParams()
@@ -436,20 +438,23 @@ def snapshot_to_json(ring):
 
 
 def _exactly(kind, name, value):
-    """``value`` if its type is ``kind`` itself (a bool is no int here)."""
-    if type(value) is not kind:
-        raise ValueError(f"snapshot {name} must be {kind.__name__}, "
+    """``value`` if its type is ``kind`` itself (a bool is no int here); the
+    snapshot's ints are counts and ids, so they must be >= 0 too."""
+    if type(value) is not kind or (kind is int and value < 0):
+        bound = " >= 0" if kind is int else ""
+        raise ValueError(f"snapshot {name} must be {kind.__name__}{bound}, "
                          f"got {value!r}")
     return value
 
 
 def snapshot_from_json(text):
     """Read a snapshot document back into a ring.  ``ValueError`` if a field
-    is missing, ``step_count``, ``next_id`` or an id is not an int,
-    ``terminal`` is not a bool, a number is not finite, ids repeat or reach
-    ``next_id``, a kind is unknown, positions leave [0, length) or cyclic
-    ring order, or speeds leave [0, v0].  Other keys, such as the unused
-    seed that older versions wrote, are ignored.
+    is missing, ``step_count``, ``next_id`` or an id is not an int >= 0,
+    ``terminal`` is not a bool, ``length``, ``dt`` or an IDM parameter is a
+    bool, a number is not finite, ids repeat or reach ``next_id``, a kind is
+    unknown, positions leave [0, length) or cyclic ring order, or speeds
+    leave [0, v0].  Other keys, such as the unused seed that older versions
+    wrote, are ignored.
     """
     try:
         doc = json.loads(text)

@@ -67,18 +67,23 @@ def build_scenario(config):
         ring = remove_vehicles(ring, count, config.removal_seed + i)
     ring = apply_formation(ring, config.cav_count, config.formation)
 
-    env_spec = EnvSpec(
-        snapshot=ring,
-        success_flow_threshold=metrics.peak_flow(loading_trace)[1],
-        max_episode_steps=config.max_episode_steps,
-        reward=config.reward,
-        speed_jitter=config.speed_jitter,
-    )
     return BuiltScenario(
         loading_trace=loading_trace,
         loaded_ring=loaded,
         post_removal_ring=ring.copy(),
-        env_spec=env_spec,
+        env_spec=env_spec(config, ring,
+                          metrics.peak_flow(loading_trace)[1]),
+    )
+
+
+def env_spec(config, snapshot, success_flow_threshold):
+    """The EnvSpec of ``config`` starting from ``snapshot``."""
+    return EnvSpec(
+        snapshot=snapshot,
+        success_flow_threshold=success_flow_threshold,
+        max_episode_steps=config.max_episode_steps,
+        reward=config.reward,
+        speed_jitter=config.speed_jitter,
     )
 
 

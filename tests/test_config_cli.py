@@ -1,6 +1,7 @@
 """Config parsing, presets, profiles, and the command-line surface."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -14,7 +15,6 @@ from ringflow.config import (
     config_to_kv,
     load_config,
     parse_kv,
-    save_config,
 )
 from ringflow.ring import FormationStrategy
 
@@ -194,7 +194,7 @@ def test_config_file_round_trip(tmp_path):
         formation=FormationStrategy.PLATOON,
     )
     p = tmp_path / "run.cfg"
-    save_config(c, p)
+    p.write_text(config_to_kv(c))
     assert load_config(p) == c
 
 
@@ -275,12 +275,21 @@ def test_cli_unknown_subcommand():
 
 def test_cli_seed_is_a_train_flag(tmp_path, capsys):
     assert build_parser().parse_args(["train", "--seed", "3"]).seed == 3
-    checkpoint = tmp_path / "ck.bin"
-    checkpoint.write_bytes(b"")
     for command in ("hysteresis", "evaluate", "compare"):
-        required = ["--checkpoint", str(checkpoint)] * (command == "evaluate")
+        required = ["--run", str(tmp_path)] * (command == "evaluate")
         assert cli_main([command, "--seed", "1", *required]) == 1
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_cli_profile_is_a_train_flag(tmp_path, capsys):
+    parse = build_parser().parse_args
+    assert parse(["train", "--profile", "desk"]).profile == "desk"
+    for command in ("hysteresis", "evaluate", "compare"):
+        required = ["--run", str(tmp_path)] * (command == "evaluate")
+        assert cli_main([command, "--profile", "desk", *required,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -290,9 +299,7 @@ def test_cli_seed_is_a_train_flag(tmp_path, capsys):
 ])
 def test_cli_negative_step_counts_are_usage_errors(tmp_path, capsys,
                                                    command, flag):
-    checkpoint = tmp_path / "ck.bin"
-    checkpoint.write_bytes(b"")
-    code = cli_main([command, flag, "-5", "--checkpoint", str(checkpoint),
+    code = cli_main([command, flag, "-5", "--run", str(tmp_path),
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
@@ -301,15 +308,17 @@ def test_cli_negative_step_counts_are_usage_errors(tmp_path, capsys,
 
 def test_cli_evaluate_requires_checkpoint(tmp_path):
     code = cli_main([
-        "evaluate", "--checkpoint", str(tmp_path / "missing.bin"),
+        "evaluate", "--run", str(tmp_path / "missing"),
         "--out", str(tmp_path / "out"),
     ])
     assert code == 1
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_evaluate_needs_the_checkpoint_flag(tmp_path):
+def test_cli_evaluate_needs_the_checkpoint_flag(tmp_path, capsys):
     assert cli_main(["evaluate", "--out", str(tmp_path / "out")]) == 1
+    assert "the following arguments are required: --run" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -322,16 +331,21 @@ def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_compare_reads_its_checkpoint_before_loading(tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, capsys):
     def never(config):
         raise AssertionError("build_scenario called")
 
     monkeypatch.setattr(scenario, "build_scenario", never)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTAFILE")
-    code = cli_main(["compare", "--checkpoint", str(bad),
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_text(json.dumps({
+        "config": config_to_kv(ScenarioConfig()),
+        "success_flow_threshold": 1000.0}))
+    (run / "checkpoint.bin").write_bytes(b"NOTAFILE")
+    code = cli_main(["compare", "--run", str(run),
                      "--out", str(tmp_path / "out")])
     assert code == 1
+    assert "not a ringflow checkpoint" in capsys.readouterr().err
 
 
 def test_cli_file_keys_beat_the_profile(tmp_path):

@@ -165,6 +165,7 @@ def _equilibrium_spec(n=20, **kw):
     ("success_flow_threshold", float("nan")),
     ("success_flow_threshold", float("inf")),
     ("success_flow_threshold", 0.0),
+    ("success_flow_threshold", True),
     ("max_episode_steps", 0),
     ("speed_jitter", float("nan")),
     ("speed_jitter", float("inf")),

@@ -335,12 +335,20 @@ def _set_vehicle(i, key, value):
     _set_vehicle(0, "id", 0.5),
     _set_vehicle(0, "id", "0"),
     _set_vehicle(0, "id", True),
+    lambda doc: doc.update(step_count=-5),
+    lambda doc: doc.update(vehicles=[], next_id=-1),
+    _set_vehicle(0, "id", -7),
+    lambda doc: doc.update(dt=True),
+    lambda doc: doc.update(vehicles=[], length=True),
+    lambda doc: doc["idm"].update(T=True),
 ], ids=["duplicate-id", "next-id-in-use", "unknown-kind", "nan-speed",
         "infinite-length", "nan-idm", "position-past-length",
         "negative-position", "out-of-order", "negative-speed",
         "speed-above-v0", "missing-field", "step-count-str",
         "step-count-float", "step-count-bool", "terminal-str", "terminal-int",
-        "next-id-float", "next-id-bool", "id-float", "id-str", "id-bool"])
+        "next-id-float", "next-id-bool", "id-float", "id-str", "id-bool",
+        "negative-step-count", "negative-next-id", "negative-id", "dt-bool",
+        "length-bool", "idm-bool"])
 def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     snapshot_from_json(json.dumps(doc))  # the unedited document loads
