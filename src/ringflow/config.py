@@ -15,7 +15,7 @@ from .baselines import VslPolicy, VslRule, default_vsl_policy
 from .dqn import DdqnConfig, RewardConfig, check_episode_bounds
 from .idm import IdmParams
 from .net import MlpSpec
-from .ring import FormationStrategy, RingState
+from .ring import FormationStrategy, RingState, check_capacity
 
 
 class ConfigError(ValueError):
@@ -43,6 +43,7 @@ class ScenarioConfig:
         RingState(self.length, self.dt, self.idm)  # checks length and dt
         if self.load_target < 1:
             raise ValueError("load_target must be >= 1")
+        check_capacity(self.length, self.idm, self.load_target)
         if min(self.removal_schedule, default=0) < 0:
             raise ValueError("removal counts must be >= 0")
         for name in ("removal_seed", "cav_count"):

@@ -20,17 +20,18 @@ ACTION_ACCELS = (-1.0, 0.0, 1.0)
 
 
 class ReplayBuffer:
-    """Bounded FIFO store of transitions with uniform sampling."""
+    """Bounded FIFO store of transitions with uniform sampling.
+
+    A transition is one float64 row ``(s, a, r, s2, done)``, so a batch is
+    one gather; the action index and the done flag are exact in float64.
+    """
 
     def __init__(self, capacity=100_000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._s = np.empty(capacity)
-        self._a = np.empty(capacity, dtype=np.int64)
-        self._r = np.empty(capacity)
-        self._s2 = np.empty(capacity)
-        self._done = np.empty(capacity, dtype=bool)
+        self._rows = np.empty((capacity, 5))
+        self._s = self._rows[:, 0]
         self._cursor = 0
         self._size = 0
 
@@ -39,11 +40,7 @@ class ReplayBuffer:
 
     def push(self, s, a, r, s2, done):
         i = self._cursor
-        self._s[i] = s
-        self._a[i] = a
-        self._r[i] = r
-        self._s2[i] = s2
-        self._done[i] = done
+        self._rows[i] = (s, a, r, s2, done)
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -52,8 +49,8 @@ class ReplayBuffer:
         if self._size < batch:
             raise ValueError(f"buffer holds {self._size} < batch {batch}")
         idx = rng.integers(0, self._size, size=batch)
-        return (self._s[idx], self._a[idx], self._r[idx], self._s2[idx],
-                self._done[idx])
+        s, a, r, s2, done = self._rows.take(idx, axis=0).T
+        return s, a.astype(np.int64), r, s2, done.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -75,11 +72,24 @@ def epsilon_at(schedule, step):
                              schedule.decay_steps, step)
 
 
-def select_action(q_values, epsilon, rng):
-    """Epsilon-greedy; greedy ties break to the lowest index."""
+def explore_action(n_actions, epsilon, rng):
+    """The exploring half of epsilon-greedy: a uniformly random action with
+    probability ``epsilon``, else ``None`` for a greedy step.  It draws
+    ``rng.random()`` once when ``epsilon > 0``, then ``rng.integers`` once
+    when it explores; nothing else reads ``rng``."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(len(q_values)))
-    return int(np.argmax(q_values))
+        return int(rng.integers(n_actions))
+    return None
+
+
+def select_action(q_values, epsilon, rng):
+    """Epsilon-greedy; greedy ties break to the lowest index.
+
+    ``rng`` is read only by ``explore_action``, before any Q-value, so a
+    caller may compute ``q_values`` only on a greedy step (as ``train``
+    does) and leave the random stream as it is."""
+    a = explore_action(len(q_values), epsilon, rng)
+    return int(np.argmax(q_values)) if a is None else a
 
 
 @dataclass(frozen=True)
@@ -198,17 +208,22 @@ class RingEnv:
             "success": success,
             "truncated": truncated,
         }
-        return observation(self.ring), reward, self._done, info
+        # observation(self.ring), from the ring.mean_speed() measure took
+        return mean_speed / self.ring.params.v0, reward, self._done, info
 
 
 def ddqn_targets(batch, online, target, gamma):
-    """Double-DQN bootstrap: online net picks the action, target net scores it."""
+    """Double-DQN bootstrap: online net picks the action, target net scores it.
+
+    ``online`` is the online network, or its Q-values at the batch's s2
+    (shape (B, n_actions)) from a forward pass already made."""
     s, a, r, s2, done = batch
     del a
     s2 = np.asarray(s2, dtype=np.float64).reshape(len(r), -1)
-    q_online = qnet.forward_batch(online, s2)
+    q_online = (online if isinstance(online, np.ndarray)
+                else qnet.forward_batch(online, s2))
     q_target = qnet.forward_batch(target, s2)
-    best = np.argmax(q_online, axis=1)
+    best = q_online.argmax(axis=1)
     boot = q_target[np.arange(len(r)), best]
     return np.asarray(r) + gamma * boot * (~np.asarray(done, dtype=bool))
 
@@ -280,6 +295,12 @@ def train(env, config, spec):
     ``env`` is anything with reset()/step()/n_actions/state_dim.  Timeout
     (truncated) transitions are stored non-terminal so the bootstrap target
     is unbiased.  Returns a TrainResult.
+
+    Each step draws ``act_rng.random()`` once, before any Q-value is read
+    (``explore_action``), and computes Q(s) only on a greedy step.  Each
+    learning step samples one batch and makes one online forward pass over
+    the stacked ``[s; s2]`` (``loss_and_gradients`` with ``ddqn_targets`` as
+    its targets) and one target-net pass over s2.
     """
     if spec.output_dim != env.n_actions or spec.input_dim != env.state_dim:
         raise ValueError("network spec does not match environment dimensions")
@@ -293,6 +314,7 @@ def train(env, config, spec):
     act_rng = np.random.default_rng(act_seed)
     sample_rng = np.random.default_rng(sample_seed)
     buffer = ReplayBuffer(config.replay_capacity)
+    learn_from = max(config.min_buffer_before_learning, config.batch_size)
 
     records = []
     global_step = 0
@@ -307,8 +329,10 @@ def train(env, config, spec):
         succeeded = False
         while not done and global_step < config.total_train_steps:
             eps = epsilon_at(config.epsilon, global_step)
-            q = qnet.forward(online, np.array([s]))
-            a = select_action(q, eps, act_rng)
+            a = explore_action(env.n_actions, eps, act_rng)
+            if a is None:
+                a = select_action(qnet.forward(online, np.array([s])), 0.0,
+                                  None)
             s2, r, done, info = env.step(a)
             stored_done = done and not info.get("truncated", False)
             buffer.push(s, a, r, s2, stored_done)
@@ -318,13 +342,15 @@ def train(env, config, spec):
             succeeded = succeeded or info.get("success", False)
             s = s2
 
-            if len(buffer) >= max(config.min_buffer_before_learning,
-                                  config.batch_size):
+            if len(buffer) >= learn_from:
                 batch = buffer.sample(config.batch_size, sample_rng)
-                y = ddqn_targets(batch, online, target, config.gamma)
-                states = batch[0].reshape(-1, 1)
+                # one online pass over [s; s2]: the s rows are trained, the
+                # s2 rows pick the bootstrap action of ddqn_targets
+                both = np.concatenate((batch[0], batch[3])).reshape(-1, 1)
                 loss, grads = qnet.loss_and_gradients(
-                    online, states, batch[1], y, out=grad_buffer)
+                    online, both, batch[1],
+                    lambda q2: ddqn_targets(batch, q2, target, config.gamma),
+                    out=grad_buffer)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at step {global_step}: {loss}"

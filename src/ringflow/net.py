@@ -111,7 +111,8 @@ def forward_batch(net, states):
     h = x
     last = net.n_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
             np.maximum(h, 0.0, out=h)
     return h
@@ -119,57 +120,78 @@ def forward_batch(net, states):
 
 def _huber(residual):
     a = np.abs(residual)
-    return np.where(a <= 1.0, 0.5 * residual * residual, a - 0.5)
+    loss = 0.5 * residual * residual
+    np.subtract(a, 0.5, out=loss, where=a > 1.0)
+    return loss
 
 
 def loss_and_gradients(net, states, action_indices, targets, out=None):
     """Mean Huber loss of Q(s)[a] vs target, with exact gradients.
 
-    Gradients flow only through the selected action's output.  Returns
-    ``(loss, grads)`` where grads is a vector laid out like ``net.params``:
-    the one of ``out``, a ``net.gradient_buffer()`` that a training loop
-    keeps across calls, or else a new one.
+    The batch is the first ``len(action_indices)`` rows of ``states``;
+    gradients flow only through the selected action's output of those rows.
+    ``states`` may hold more rows: the one forward pass covers them too, and
+    ``targets`` may then be a function of their Q-values that returns the
+    batch's targets.  So a Double-DQN step forwards the online net once over
+    ``[s; s2]``: the rows of s2 pick the bootstrap action.  That pass gives
+    the bits of two separate passes when the batch size is a multiple of the
+    BLAS's row block (4 with OpenBLAS's Haswell kernels); with other sizes a
+    row can be computed by another kernel and differ in the last bit.
+
+    Returns ``(loss, grads)`` where grads is a vector laid out like
+    ``net.params``: the one of ``out``, a ``net.gradient_buffer()`` that a
+    training loop keeps across calls, or else a new one.
     """
     x = np.asarray(states, dtype=np.float64)
     a_idx = np.asarray(action_indices, dtype=np.int64)
-    y = np.asarray(targets, dtype=np.float64)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite inputs to loss_and_gradients")
     if not ((a_idx >= 0) & (a_idx < net.spec.output_dim)).all():
         raise ValueError("action index out of range")
-    batch = x.shape[0]
+    batch = len(a_idx)
 
-    # forward, caching pre-activations' masks and activations
+    # forward over every row, caching the ReLU masks and activations
     acts = [x]
     h = x
     last = net.n_layers - 1
     relu_masks = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            mask = z > 0.0
+            mask = h > 0.0
             relu_masks.append(mask)
-            h = z * mask
-        else:
-            h = z
+            h *= mask
         acts.append(h)
     q = acts[-1]
 
-    rows = np.arange(batch)
-    residual = q[rows, a_idx] - y
-    loss = float(_huber(residual).mean())
+    y = np.asarray(targets(q[batch:]) if callable(targets) else targets,
+                   dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise ValueError("non-finite inputs to loss_and_gradients")
 
-    dq = np.zeros_like(q)
-    dq[rows, a_idx] = np.clip(residual, -1.0, 1.0) / batch
+    rows = np.arange(batch)
+    residual = q[rows, a_idx]
+    residual -= y
+    loss = float(np.add.reduce(_huber(residual)) / batch)  # == .mean()
+
+    # dQ: the clipped residual over the batch at each row's action, zero
+    # elsewhere; written over the batch's Q rows, which are read no more
+    np.maximum(residual, -1.0, out=residual)
+    np.minimum(residual, 1.0, out=residual)
+    residual /= batch
+    delta = q[:batch]
+    delta.fill(0.0)
+    delta[rows, a_idx] = residual
 
     grads, views = net.gradient_buffer() if out is None else out
-    delta = dq
     for i in range(last, -1, -1):
         dw, db = views[i]
-        np.matmul(acts[i].T, delta, out=dw)
-        delta.sum(axis=0, out=db)
+        np.matmul(acts[i][:batch].T, delta, out=dw)
+        np.add.reduce(delta, axis=0, out=db)
         if i > 0:
-            delta = (delta @ net.weights[i].T) * relu_masks[i - 1]
+            delta = delta @ net.weights[i].T
+            delta *= relu_masks[i - 1][:batch]
     return loss, grads
 
 

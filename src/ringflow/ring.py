@@ -48,6 +48,16 @@ class CapacityError(ValueError):
     pass
 
 
+def check_capacity(length, params, target_count):
+    """``CapacityError`` unless ``target_count`` vehicles fit a loop of
+    ``length``, each taking ``s0 + vehicle_length`` of it at standstill."""
+    capacity = int(length // (params.s0 + params.vehicle_length))
+    if target_count > capacity:
+        raise CapacityError(
+            f"target_count {target_count} exceeds loop capacity {capacity}"
+        )
+
+
 class RingState:
     """Ordered vehicle collection on a loop, plus geometry and clock.
 
@@ -320,12 +330,7 @@ def load_vehicles(ring, target_count):
     ``LOAD_MAX_STEPS``.  The whole loading phase is measured every step.
     Returns ``(loaded_ring, loading FdTrace)``.
     """
-    p = ring.params
-    capacity = int(ring.length // (p.s0 + p.vehicle_length))
-    if target_count > capacity:
-        raise CapacityError(
-            f"target_count {target_count} exceeds loop capacity {capacity}"
-        )
+    check_capacity(ring.length, ring.params, target_count)
     out = ring.copy()
     rec = metrics.TraceRecorder(metrics.Phase.LOADING)
     if target_count <= out.n:

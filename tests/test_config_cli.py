@@ -108,7 +108,8 @@ def test_a_profile_changes_only_the_keys_it_names():
 
 def test_values_parse_by_field_type():
     c = config_from_kv({"ddqn.seed": "0", "scenario.cav_count": "1",
-                        "sim.length": "250", "reward.success_terminates": "no"})
+                        "sim.length": "250", "scenario.load_target": "17",
+                        "reward.success_terminates": "no"})
     assert type(c.ddqn.seed) is int and c.ddqn.seed == 0
     assert type(c.cav_count) is int and c.cav_count == 1
     assert type(c.length) is float and c.length == 250.0
@@ -322,6 +323,26 @@ def test_cli_evaluate_needs_the_checkpoint_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_load_target_above_loop_capacity_is_rejected_at_load():
+    with pytest.raises(ConfigError,
+                       match="target_count 36 exceeds loop capacity 35"):
+        config_from_kv({"sim.length": "250.0", "scenario.load_target": "36"})
+    assert config_from_kv({"sim.length": "250.0",
+                           "scenario.load_target": "35"}).load_target == 35
+
+
+@pytest.mark.parametrize("command", ["hysteresis", "train"])
+def test_cli_load_target_above_capacity_fails_before_out(tmp_path, capsys,
+                                                         command):
+    cfgfile = tmp_path / "big.cfg"
+    cfgfile.write_text("sim.length = 250.0\nscenario.load_target = 200\n")
+    code = cli_main([command, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "exceeds loop capacity 35" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
     code = cli_main(["hysteresis", "--config", str(tmp_path / "no.cfg"),
                      "--out", str(tmp_path / "out")])
@@ -367,6 +388,7 @@ def test_counts_the_schedule_cannot_meet_fail_before_loading(monkeypatch):
         raise AssertionError("load_vehicles called")
 
     monkeypatch.setattr(scenario, "load_vehicles", never)
+    scenario._loaded.cache_clear()
     base = ScenarioConfig(length=250.0, load_target=17)  # valid to construct
     for bad in (dict(removal_schedule=(17,)),
                 dict(removal_schedule=(10, 7)),

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringflow import (
+    AdamState,
     DdqnConfig,
     EnvSpec,
     EpsilonSchedule,
@@ -12,13 +14,17 @@ from ringflow import (
     ReplayBuffer,
     RewardConfig,
     RingEnv,
+    adam_step,
     ddqn_targets,
     epsilon_at,
+    forward,
     init_network,
+    loss_and_gradients,
+    lr_at,
     select_action,
     train,
 )
-from ringflow.dqn import ACTION_ACCELS, EnvTerminatedError
+from ringflow.dqn import ACTION_ACCELS, EnvTerminatedError, observation
 from ringflow.net import forward_batch
 
 from conftest import equilibrium_speed, make_ring
@@ -36,6 +42,15 @@ def test_fifo_eviction_drops_oldest():
     sample = buf.sample(100_000, np.random.default_rng(0))
     assert 0.0 not in sample[0]
     assert 100_000.0 in sample[0] or stored is None
+
+
+def test_sample_returns_the_pushed_transition_with_exact_types():
+    buf = ReplayBuffer(capacity=4)
+    buf.push(0.25, 2, -3000.5, 0.125, True)
+    s, a, r, s2, done = buf.sample(1, np.random.default_rng(0))
+    assert a.dtype == np.int64 and done.dtype == bool
+    assert (s.tolist(), a.tolist(), r.tolist(), s2.tolist(),
+            done.tolist()) == ([0.25], [2], [-3000.5], [0.125], [True])
 
 
 def test_underfilled_buffer_refuses_to_sample():
@@ -265,6 +280,18 @@ def test_scripted_episode_reward_accounting():
     assert total == pytest.approx(expected, abs=1e-9)
 
 
+def test_step_state_is_the_observation_through_a_collision():
+    ring = make_ring([0.0, 40.0, 80.0], [12.0, 10.0, 0.0],
+                     cavs=[True, True, False])
+    env = RingEnv(EnvSpec(snapshot=ring, success_flow_threshold=1e9))
+    env.reset()
+    done = False
+    while not done:
+        s, _, done, info = env.step(2)  # accelerate into the standing car
+        assert s.hex() == observation(env.ring).hex()
+    assert info["collision"]
+
+
 def test_broadcast_reaches_every_commanded_vehicle():
     spec, v_eq = _equilibrium_spec()
     env = RingEnv(spec)
@@ -375,3 +402,123 @@ def test_training_is_seed_deterministic():
     assert [e.cumulative_reward for e in a.episodes] == [
         e.cumulative_reward for e in b.episodes
     ]
+
+
+class _ToyMdpWithExit(ToyMdp):
+    """ToyMdp in which action 2 in state 1 ends the episode: a terminal
+    transition, stored done."""
+
+    def step(self, a):
+        if self._s == 1 and a == 2:
+            self._t += 1
+            return 1.0, -1.0, True, {"truncated": False}
+        return super().step(a)
+
+
+def _reference_train(env, config, spec):
+    """``train`` as it was before the single learner pass: Q(s) on every
+    step, five replay arrays gathered one by one, and ``ddqn_targets`` and
+    ``loss_and_gradients`` as separate forward passes of the online net."""
+    init_seed, act_seed, sample_seed = np.random.SeedSequence(
+        config.seed).spawn(3)
+    online = init_network(spec, seed=init_seed)
+    target = online.copy()
+    adam = AdamState.for_network(online)
+    act_rng = np.random.default_rng(act_seed)
+    sample_rng = np.random.default_rng(sample_seed)
+    cap = config.replay_capacity
+    cols = (np.empty(cap), np.empty(cap, dtype=np.int64), np.empty(cap),
+            np.empty(cap), np.empty(cap, dtype=bool))
+    cursor = size = 0
+    records, step = [], 0
+    for ep in range(config.episodes):
+        if step >= config.total_train_steps:
+            break
+        s, done, total, steps = env.reset(), False, 0.0, 0
+        while not done and step < config.total_train_steps:
+            q = forward(online, np.array([s]))
+            a = select_action(q, epsilon_at(config.epsilon, step), act_rng)
+            s2, r, done, info = env.step(a)
+            for col, value in zip(cols, (s, a, r, s2,
+                                         done and not info["truncated"])):
+                col[cursor] = value
+            cursor, size = (cursor + 1) % cap, min(size + 1, cap)
+            total += r
+            steps += 1
+            s = s2
+            if size >= max(config.min_buffer_before_learning,
+                           config.batch_size):
+                idx = sample_rng.integers(0, size, size=config.batch_size)
+                batch = tuple(col[idx] for col in cols)
+                y = ddqn_targets(batch, online, target, config.gamma)
+                loss, grads = loss_and_gradients(
+                    online, batch[0].reshape(-1, 1), batch[1], y)
+                assert np.isfinite(loss)
+                adam_step(online, grads, adam, lr_at(config.lr, step))
+            step += 1
+            if step % config.target_sync_period == 0:
+                target.copy_from(online)
+        records.append((ep, steps, total.hex()))
+    return online, adam, records
+
+
+def test_train_equals_the_separate_pass_loop_bit_for_bit():
+    config = DdqnConfig(
+        episodes=100, total_train_steps=400, target_sync_period=50,
+        min_buffer_before_learning=40, replay_capacity=300,
+        epsilon=EpsilonSchedule(0.9, 0.2, decay_steps=300),
+        lr=LrSchedule(base=0.01, total_steps=400), seed=3,
+    )
+    spec = MlpSpec(1, (16, 16), 3)
+    result = train(_ToyMdpWithExit(), config, spec=spec)
+    online, adam, records = _reference_train(_ToyMdpWithExit(), config, spec)
+    assert result.network.params.tobytes() == online.params.tobytes()
+    assert result.adam.m.tobytes() == adam.m.tobytes()
+    assert result.adam.v.tobytes() == adam.v.tobytes()
+    assert result.adam.t == adam.t == 400 - 40 + 1
+    assert [(e.episode, e.steps, e.cumulative_reward.hex())
+            for e in result.episodes] == records
+    # episodes end both in the terminal transition and by truncation
+    assert {steps == 20 for _, steps, _ in records} == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden=st.lists(st.integers(1, 40), max_size=3),
+       n_actions=st.integers(1, 4),
+       blocks=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_pass_equals_the_separate_passes(hidden, n_actions, blocks,
+                                                 seed):
+    """The batch size is a multiple of 4, as the training profiles' 32 is:
+    OpenBLAS computes a matrix's rows in blocks of 4 here (Haswell dgemm),
+    so with other sizes a row of the batch can come out of an edge kernel
+    in one pass and a full block in the other, and differ in the last bit.
+    """
+    batch_size = 4 * blocks
+    spec = MlpSpec(1, tuple(hidden), n_actions)
+    online = init_network(spec, seed=seed)
+    target = init_network(spec, seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    batch = (rng.uniform(0.0, 1.0, batch_size),
+             rng.integers(0, n_actions, batch_size),
+             rng.normal(0.0, 100.0, batch_size),
+             rng.uniform(0.0, 1.0, batch_size),
+             rng.random(batch_size) < 0.2)
+    s, a, _, s2, _ = batch
+
+    y = ddqn_targets(batch, online, target, 0.9)
+    loss, grads = loss_and_gradients(online, s.reshape(-1, 1), a, y)
+
+    seen = []
+
+    def targets(q2):
+        seen.append(q2.copy())
+        return ddqn_targets(batch, q2, target, 0.9)
+
+    loss2, grads2 = loss_and_gradients(
+        online, np.concatenate((s, s2)).reshape(-1, 1), a, targets)
+    (q2,) = seen
+    np.testing.assert_array_equal(q2, forward_batch(online, s2[:, None]))
+    assert targets(q2).tobytes() == y.tobytes()
+    assert loss2.hex() == loss.hex()
+    assert grads2.tobytes() == grads.tobytes()
