@@ -17,9 +17,17 @@ from ringflow import (
     evaluate,
     idm_plateau_speed,
     preset,
+    select_action,
     train,
 )
-from ringflow.net import forward_batch
+
+PROBE_SPEEDS = np.linspace(0.0, 12.0, 13)  # m/s, for the greedy map
+
+
+def greedy_map(net, v0):
+    """The controller's action at each probe mean speed, as '-', '0' or '+':
+    its observation is the mean speed over the desired speed ``v0``."""
+    return "".join("-0+"[select_action(net, v / v0)] for v in PROBE_SPEEDS)
 
 
 def main():
@@ -39,10 +47,8 @@ def main():
         f"last 10%: {rewards[-k:].mean():.0f}"
     )
 
-    vs = np.linspace(0.0, 12.0, 13)
-    q = forward_batch(result.network, (vs / 30.0).reshape(-1, 1))
-    actions = "".join("-0+"[int(i)] for i in np.argmax(q, axis=1))
-    print(f"greedy action by mean speed 0..12 m/s: {actions}")
+    print("greedy action by mean speed 0..12 m/s: "
+          f"{greedy_map(result.network, c.idm.v0)}")
 
     plateau = idm_plateau_speed(built.env_spec)
     trace, _ = evaluate(result.network, built.env_spec, 3000)

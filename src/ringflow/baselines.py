@@ -137,7 +137,7 @@ def find_flow_peak_step(flows):
 
 @dataclass
 class SwitchBackResult:
-    peak_step: int
+    peak_step: int  # index of ``snapshot`` in the search rollout's states
     snapshot: ringmod.RingState
     cav_trace: metrics.FdTrace
     reverted_trace: metrics.FdTrace
@@ -148,6 +148,9 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
     against reverting everyone to human driving for ``extra_steps``.
 
     Both continuation branches start from the same bit-identical snapshot.
+    A collision ends the search rollout in a state that cannot be stepped;
+    when the peak falls on it, the branches start from the state before
+    (the start state, ``peak_step`` -1, if the first step collides).
     """
     if search_steps < 1:
         raise ValueError("search_steps must be >= 1")
@@ -158,7 +161,9 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
     ringmod.rollout(env_spec.snapshot, search_steps, greedy, rings.append)
     flows = [metrics.measure(r)[1] for r in rings]
     peak_step = find_flow_peak_step(flows)
-    snap = rings[peak_step]
+    if rings[peak_step].terminal:
+        peak_step -= 1
+    snap = rings[peak_step] if peak_step >= 0 else env_spec.snapshot
 
     if extra_steps == 0:
         rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)

@@ -111,8 +111,8 @@ def cmd_train(args):
     config = _load_config(args)
     if args.seed is not None:
         config = cfg.config_from_kv({"ddqn.seed": str(args.seed)}, config)
-    out = _out_dir(args)
     built = scen.build_scenario(config)
+    out = _out_dir(args)
     ring.save_snapshot(built.post_removal_ring, os.path.join(out, "snapshot.json"))
     with open(os.path.join(out, "run.json"), "w") as f:
         json.dump({"config": cfg.config_to_kv(config),

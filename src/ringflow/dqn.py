@@ -74,22 +74,22 @@ def epsilon_at(schedule, step):
 
 def explore_action(n_actions, epsilon, rng):
     """The exploring half of epsilon-greedy: a uniformly random action with
-    probability ``epsilon``, else ``None`` for a greedy step.  It draws
-    ``rng.random()`` once when ``epsilon > 0``, then ``rng.integers`` once
+    probability ``epsilon``, else ``None`` for a greedy step
+    (``select_action``).  It draws ``rng.random()`` once when
+    ``epsilon > 0``, before any Q-value is read, then ``rng.integers`` once
     when it explores; nothing else reads ``rng``."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(n_actions))
     return None
 
 
-def select_action(q_values, epsilon, rng):
-    """Epsilon-greedy; greedy ties break to the lowest index.
-
-    ``rng`` is read only by ``explore_action``, before any Q-value, so a
-    caller may compute ``q_values`` only on a greedy step (as ``train``
-    does) and leave the random stream as it is."""
-    a = explore_action(len(q_values), epsilon, rng)
-    return int(np.argmax(q_values)) if a is None else a
+def select_action(net, state):
+    """The greedy action of ``net`` at the scalar observation ``state``: the
+    argmax of one single-state ``forward``, ties to the lowest index.  It
+    reads no random stream, so an epsilon-greedy step draws from
+    ``explore_action`` first and computes Q-values only when that returns
+    ``None``."""
+    return int(np.argmax(qnet.forward(net, [state])))
 
 
 @dataclass(frozen=True)
@@ -212,19 +212,12 @@ class RingEnv:
         return mean_speed / self.ring.params.v0, reward, self._done, info
 
 
-def ddqn_targets(batch, online, target, gamma):
-    """Double-DQN bootstrap: online net picks the action, target net scores it.
-
-    ``online`` is the online network, or its Q-values at the batch's s2
-    (shape (B, n_actions)) from a forward pass already made."""
-    s, a, r, s2, done = batch
-    del a
-    s2 = np.asarray(s2, dtype=np.float64).reshape(len(r), -1)
-    q_online = (online if isinstance(online, np.ndarray)
-                else qnet.forward_batch(online, s2))
-    q_target = qnet.forward_batch(target, s2)
-    best = q_online.argmax(axis=1)
-    boot = q_target[np.arange(len(r)), best]
+def ddqn_targets(batch, q_online, q_target, gamma):
+    """Double-DQN bootstrap from the online and target nets' Q-values at the
+    batch's s2 (each of shape (B, n_actions)): the online values pick the
+    action, the target values score it."""
+    _, _, r, _, done = batch
+    boot = q_target[np.arange(len(r)), q_online.argmax(axis=1)]
     return np.asarray(r) + gamma * boot * (~np.asarray(done, dtype=bool))
 
 
@@ -296,11 +289,12 @@ def train(env, config, spec):
     (truncated) transitions are stored non-terminal so the bootstrap target
     is unbiased.  Returns a TrainResult.
 
-    Each step draws ``act_rng.random()`` once, before any Q-value is read
-    (``explore_action``), and computes Q(s) only on a greedy step.  Each
-    learning step samples one batch and makes one online forward pass over
-    the stacked ``[s; s2]`` (``loss_and_gradients`` with ``ddqn_targets`` as
-    its targets) and one target-net pass over s2.
+    Each step is epsilon-greedy: it draws ``act_rng.random()`` once, before
+    any Q-value is read (``explore_action``), and computes Q(s) only on a
+    greedy step (``select_action``).  Each learning step samples one batch,
+    makes one target-net pass over s2 and one online pass over the stacked
+    ``[s; s2]`` (``loss_and_gradients`` with ``ddqn_targets`` as its
+    targets).
     """
     if spec.output_dim != env.n_actions or spec.input_dim != env.state_dim:
         raise ValueError("network spec does not match environment dimensions")
@@ -331,8 +325,7 @@ def train(env, config, spec):
             eps = epsilon_at(config.epsilon, global_step)
             a = explore_action(env.n_actions, eps, act_rng)
             if a is None:
-                a = select_action(qnet.forward(online, np.array([s])), 0.0,
-                                  None)
+                a = select_action(online, s)
             s2, r, done, info = env.step(a)
             stored_done = done and not info.get("truncated", False)
             buffer.push(s, a, r, s2, stored_done)
@@ -347,9 +340,12 @@ def train(env, config, spec):
                 # one online pass over [s; s2]: the s rows are trained, the
                 # s2 rows pick the bootstrap action of ddqn_targets
                 both = np.concatenate((batch[0], batch[3])).reshape(-1, 1)
+                q2_target = qnet.forward_batch(target,
+                                               both[config.batch_size:])
                 loss, grads = qnet.loss_and_gradients(
                     online, both, batch[1],
-                    lambda q2: ddqn_targets(batch, q2, target, config.gamma),
+                    lambda q2: ddqn_targets(batch, q2, q2_target,
+                                            config.gamma),
                     out=grad_buffer)
                 if not np.isfinite(loss):
                     raise RuntimeError(
@@ -372,8 +368,7 @@ def greedy_controller(policy):
     for the ring's ``observation`` to every CAV (centralized execution)."""
 
     def control(t, ring):
-        q = qnet.forward(policy, np.array([observation(ring)]))
-        return ACTION_ACCELS[select_action(q, 0.0, None)], None
+        return ACTION_ACCELS[select_action(policy, observation(ring))], None
 
     return control
 

@@ -108,6 +108,12 @@ def forward_batch(net, states):
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
         raise ValueError(f"bad batch shape {x.shape}")
+    return _forward(net, x)
+
+
+def _forward(net, x, acts=None):
+    """The one layer loop: ``x @ W + b`` per layer, ReLU on all but the
+    last.  Each layer's output is appended to ``acts`` when it is given."""
     h = x
     last = net.n_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -115,6 +121,8 @@ def forward_batch(net, states):
         h += b
         if i != last:
             np.maximum(h, 0.0, out=h)
+        if acts is not None:
+            acts.append(h)
     return h
 
 
@@ -150,20 +158,10 @@ def loss_and_gradients(net, states, action_indices, targets, out=None):
         raise ValueError("action index out of range")
     batch = len(a_idx)
 
-    # forward over every row, caching the ReLU masks and activations
+    # forward over every row, keeping each layer's input; a ReLU output is
+    # > 0 exactly where its pre-activation was, so it is its own mask
     acts = [x]
-    h = x
-    last = net.n_layers - 1
-    relu_masks = []
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
-        h += b
-        if i != last:
-            mask = h > 0.0
-            relu_masks.append(mask)
-            h *= mask
-        acts.append(h)
-    q = acts[-1]
+    q = _forward(net, x, acts)
 
     y = np.asarray(targets(q[batch:]) if callable(targets) else targets,
                    dtype=np.float64)
@@ -185,13 +183,13 @@ def loss_and_gradients(net, states, action_indices, targets, out=None):
     delta[rows, a_idx] = residual
 
     grads, views = net.gradient_buffer() if out is None else out
-    for i in range(last, -1, -1):
+    for i in range(net.n_layers - 1, -1, -1):
         dw, db = views[i]
         np.matmul(acts[i][:batch].T, delta, out=dw)
         np.add.reduce(delta, axis=0, out=db)
         if i > 0:
             delta = delta @ net.weights[i].T
-            delta *= relu_masks[i - 1][:batch]
+            delta *= acts[i][:batch] > 0.0
     return loss, grads
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from . import metrics
+from . import baselines, metrics
 from .dqn import EnvSpec
 from .ring import (
     RingState,
@@ -111,8 +111,6 @@ def unload_incrementally(ring, removal_seed=0, steps_between=30,
 def idm_plateau_speed(env_spec):
     """Steady-state mean speed of the all-human recovery on the snapshot:
     the mean over the last ``PLATEAU_TAIL`` of ``PLATEAU_STEPS`` steps."""
-    from .baselines import run_idm_recovery
-
-    trace = run_idm_recovery(env_spec.snapshot, PLATEAU_STEPS)
+    trace = baselines.run_idm_recovery(env_spec.snapshot, PLATEAU_STEPS)
     tail = trace.mean_speed[int(len(trace) * (1 - PLATEAU_TAIL)):]
     return float(tail.mean())

@@ -183,7 +183,8 @@ def test_criterion_3_ddqn_rule_and_toy_mdp():
         np.zeros((1, 1)),
         np.array([False]),
     )
-    y = ddqn_targets(batch, online, target, gamma=0.9)[0]
+    y = ddqn_targets(batch, forward_batch(online, batch[3]),
+                     forward_batch(target, batch[3]), gamma=0.9)[0]
     plain = 2.0 + 0.9 * np.max(forward(target, np.zeros(1)))
     rule_ok = abs(y - 2.18) <= 1e-12 and abs(plain - 2.81) <= 1e-12
 

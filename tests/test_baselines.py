@@ -188,3 +188,41 @@ def test_switch_back_equilibrium_is_indistinguishable():
     np.testing.assert_allclose(res.reverted_trace.mean_speed, v_eq,
                                atol=1e-6)
     assert res.snapshot.n == ring.n
+
+
+def _accelerate_policy():
+    """Network whose greedy action is always index 2 (+1 m/s^2)."""
+    net = init_network(MlpSpec(1, (), 3), seed=0)
+    net.weights[0][:] = 0.0
+    net.biases[0][:] = [0.0, 0.0, 1.0]
+    return net
+
+
+def test_switch_back_peak_on_the_collision_starts_one_state_earlier():
+    # a lone CAV accelerating into a jam of stopped cars at 2 m gaps: the
+    # flow peaks at the collision step, which cannot be stepped on from
+    ring = make_ring([i * 7.0 for i in range(34)], [0.0] * 34,
+                     cavs=[True] + [False] * 33, length=250.0)
+    spec = EnvSpec(ring, 1000.0)
+    rings = []
+    ringmod.rollout(ring, 2000, lambda t, r: (1.0, None), rings.append)
+    assert rings[-1].terminal
+    assert find_flow_peak_step([measure(r)[1] for r in rings]) == \
+        len(rings) - 1
+    res = run_switch_back(_accelerate_policy(), spec, extra_steps=50)
+    assert res.peak_step == len(rings) - 2
+    assert not res.snapshot.terminal
+    assert ringmod.snapshot_to_json(res.snapshot) == \
+        ringmod.snapshot_to_json(rings[-2])
+    assert len(res.cav_trace) == 1  # the CAV branch collides again
+    assert len(res.reverted_trace) == 50
+
+
+def test_switch_back_collision_on_the_first_step_starts_from_the_start():
+    ring = make_ring([0.0, 5.5], [10.0, 0.0], cavs=[True, False],
+                     length=250.0)
+    res = run_switch_back(_accelerate_policy(), EnvSpec(ring, 1000.0),
+                          extra_steps=5)
+    assert res.peak_step == -1
+    assert res.snapshot is ring
+    assert (len(res.cav_trace), len(res.reverted_trace)) == (1, 5)

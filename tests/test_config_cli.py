@@ -343,6 +343,21 @@ def test_cli_load_target_above_capacity_fails_before_out(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("scenario.removal_schedule = 68", "leaves no vehicle"),
+    ("scenario.cav_count = 60", "cav_count 60 > the 51 vehicles"),
+])
+def test_cli_train_schedule_it_cannot_meet_fails_before_out(tmp_path, capsys,
+                                                            line, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line + "\n")
+    code = cli_main(["train", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
     code = cli_main(["hysteresis", "--config", str(tmp_path / "no.cfg"),
                      "--out", str(tmp_path / "out")])

@@ -3,13 +3,19 @@
 Each demo runs in a subprocess and its stdout is compared with a recorded
 copy of its text, so a change to the numbers or to how they are formatted
 shows.  The wave-dissipation and training demos stay manual: at about 5 s
-and 20 s they are too slow for the tier-1 run.
+and 20 s they are too slow for the tier-1 run; the training demo's greedy
+map is checked on untrained nets instead.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from ringflow import MlpSpec, init_network, select_action
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +60,26 @@ def test_hysteresis_demo_output(tmp_path):
 
 def test_fleet_sizing_demo_output(tmp_path):
     assert _run_demo("fleet_sizing_demo.py", cwd=tmp_path) == FLEET_SIZING
+
+
+def _demo_module(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "demos" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_training_demo_greedy_map_is_the_controllers_action_per_speed():
+    demo = _demo_module("training_demo")
+    speeds = np.linspace(0.0, 12.0, 13)
+    maps = set()
+    for seed in range(8):
+        net = init_network(MlpSpec(1, (64, 64), 3), seed=seed)
+        rng = np.random.default_rng(seed)
+        for b in net.biases:
+            b[:] = rng.normal(0.0, 0.3, b.shape)
+        want = "".join("-0+"[select_action(net, v / 30.0)] for v in speeds)
+        assert demo.greedy_map(net, 30.0) == want
+        maps.add(want)
+    assert len(maps) > 3  # maps that switch action inside the probe range

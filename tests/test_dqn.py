@@ -24,7 +24,12 @@ from ringflow import (
     select_action,
     train,
 )
-from ringflow.dqn import ACTION_ACCELS, EnvTerminatedError, observation
+from ringflow.dqn import (
+    ACTION_ACCELS,
+    EnvTerminatedError,
+    explore_action,
+    observation,
+)
 from ringflow.net import forward_batch
 
 from conftest import equilibrium_speed, make_ring
@@ -90,17 +95,29 @@ def test_epsilon_endpoints_and_decay():
 
 
 def test_greedy_action_is_argmax():
-    rng = np.random.default_rng(0)
-    a = select_action(np.array([0.1, 0.9, 0.3]), epsilon=0.0, rng=rng)
+    a = select_action(_net_with_outputs([0.1, 0.9, 0.3]), 0.0)
     assert a == 1
+    # an exact tie goes to the lowest index
+    assert select_action(_net_with_outputs([0.5, 0.9, 0.9]), 0.0) == 1
+    assert select_action(_net_with_outputs([0.9, 0.9, 0.9]), 0.0) == 0
+    assert select_action(_net_with_outputs([0.0, -0.0, 0.0]), 0.0) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden=st.lists(st.integers(1, 40), max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       state=st.floats(-2.0, 2.0, allow_nan=False))
+def test_greedy_action_is_the_argmax_of_one_single_state_forward(
+        hidden, seed, state):
+    net = init_network(MlpSpec(1, tuple(hidden), 3), seed=seed)
+    assert select_action(net, state) == int(np.argmax(forward(net, [state])))
 
 
 def test_full_exploration_is_uniform_within_3_sigma():
     rng = np.random.default_rng(2)
-    q = np.array([0.1, 0.9, 0.3])
     n = 100_000
     counts = np.bincount(
-        [select_action(q, 1.0, rng) for _ in range(n)], minlength=3
+        [explore_action(3, 1.0, rng) for _ in range(n)], minlength=3
     )
     p = 1.0 / 3.0
     sigma = np.sqrt(n * p * (1 - p))
@@ -108,13 +125,6 @@ def test_full_exploration_is_uniform_within_3_sigma():
 
 
 # ---------------------------------------------------------------- targets
-
-
-class _FixedNet:
-    """Stand-in scoring function with preset rows (duck-typed for targets)."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
 
 
 def _batch(r, done):
@@ -135,16 +145,21 @@ def _net_with_outputs(values):
     return net
 
 
+def _q_row(values):
+    """Q-values at the one s2 of ``_batch``, shape (1, n_actions)."""
+    return np.array([values], dtype=float)
+
+
 def test_terminal_transition_has_no_bootstrap():
-    online = _net_with_outputs([1.0, 3.0, 2.0])
-    target = _net_with_outputs([0.5, 0.2, 0.9])
+    online = _q_row([1.0, 3.0, 2.0])
+    target = _q_row([0.5, 0.2, 0.9])
     y = ddqn_targets(_batch(-2995.8, True), online, target, gamma=0.9)
     assert y[0] == -2995.8
 
 
 def test_decoupled_selection_and_evaluation():
-    online = _net_with_outputs([1.0, 3.0, 2.0])
-    target = _net_with_outputs([0.5, 0.2, 0.9])
+    online = _q_row([1.0, 3.0, 2.0])
+    target = _q_row([0.5, 0.2, 0.9])
     y = ddqn_targets(_batch(2.0, False), online, target, gamma=0.9)
     # online argmax is action 1; target scores it 0.2
     assert y[0] == pytest.approx(2.0 + 0.9 * 0.2, abs=1e-12)
@@ -155,8 +170,8 @@ def test_decoupled_selection_and_evaluation():
 
 
 def test_identical_nets_collapse_to_coupled_rule():
-    net = _net_with_outputs([1.0, 3.0, 2.0])
-    y = ddqn_targets(_batch(2.0, False), net, net, gamma=0.9)
+    q = _q_row([1.0, 3.0, 2.0])
+    y = ddqn_targets(_batch(2.0, False), q, q, gamma=0.9)
     assert y[0] == pytest.approx(2.0 + 0.9 * 3.0, abs=1e-12)
 
 
@@ -417,8 +432,9 @@ class _ToyMdpWithExit(ToyMdp):
 
 def _reference_train(env, config, spec):
     """``train`` as it was before the single learner pass: Q(s) on every
-    step, five replay arrays gathered one by one, and ``ddqn_targets`` and
-    ``loss_and_gradients`` as separate forward passes of the online net."""
+    step with the epsilon-greedy draw written out, five replay arrays
+    gathered one by one, and the targets' online pass separate from the one
+    of ``loss_and_gradients``."""
     init_seed, act_seed, sample_seed = np.random.SeedSequence(
         config.seed).spawn(3)
     online = init_network(spec, seed=init_seed)
@@ -437,7 +453,11 @@ def _reference_train(env, config, spec):
         s, done, total, steps = env.reset(), False, 0.0, 0
         while not done and step < config.total_train_steps:
             q = forward(online, np.array([s]))
-            a = select_action(q, epsilon_at(config.epsilon, step), act_rng)
+            eps = epsilon_at(config.epsilon, step)
+            if eps > 0.0 and act_rng.random() < eps:
+                a = int(act_rng.integers(env.n_actions))
+            else:
+                a = int(np.argmax(q))
             s2, r, done, info = env.step(a)
             for col, value in zip(cols, (s, a, r, s2,
                                          done and not info["truncated"])):
@@ -450,7 +470,9 @@ def _reference_train(env, config, spec):
                            config.batch_size):
                 idx = sample_rng.integers(0, size, size=config.batch_size)
                 batch = tuple(col[idx] for col in cols)
-                y = ddqn_targets(batch, online, target, config.gamma)
+                s2 = batch[3].reshape(-1, 1)
+                y = ddqn_targets(batch, forward_batch(online, s2),
+                                 forward_batch(target, s2), config.gamma)
                 loss, grads = loss_and_gradients(
                     online, batch[0].reshape(-1, 1), batch[1], y)
                 assert np.isfinite(loss)
@@ -506,14 +528,16 @@ def test_stacked_pass_equals_the_separate_passes(hidden, n_actions, blocks,
              rng.random(batch_size) < 0.2)
     s, a, _, s2, _ = batch
 
-    y = ddqn_targets(batch, online, target, 0.9)
+    q2_target = forward_batch(target, s2[:, None])
+    y = ddqn_targets(batch, forward_batch(online, s2[:, None]), q2_target,
+                     0.9)
     loss, grads = loss_and_gradients(online, s.reshape(-1, 1), a, y)
 
     seen = []
 
     def targets(q2):
         seen.append(q2.copy())
-        return ddqn_targets(batch, q2, target, 0.9)
+        return ddqn_targets(batch, q2, q2_target, 0.9)
 
     loss2, grads2 = loss_and_gradients(
         online, np.concatenate((s, s2)).reshape(-1, 1), a, targets)

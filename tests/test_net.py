@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringflow import (
     AdamState,
@@ -200,6 +201,69 @@ def test_bad_action_index_rejected():
     with pytest.raises(ValueError):
         loss_and_gradients(net, np.array([[0.5]]), np.array([3]),
                            np.array([0.0]))
+
+
+def _mask_multiply_loss(net, states, actions, targets):
+    """``loss_and_gradients`` with its own layer loop, as it was written
+    before it shared the forward pass: each ReLU is a multiply by a kept
+    ``h > 0`` mask, and backprop multiplies by the same masks."""
+    x = np.asarray(states, dtype=np.float64)
+    batch = len(actions)
+    last = net.n_layers - 1
+    acts, masks, h = [x], [], x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if i != last:
+            mask = h > 0.0
+            masks.append(mask)
+            h *= mask
+        acts.append(h)
+    q = acts[-1]
+    y = np.asarray(targets(q[batch:]) if callable(targets) else targets,
+                   dtype=np.float64)
+    rows = np.arange(batch)
+    residual = q[rows, actions] - y
+    huber = np.where(np.abs(residual) > 1.0, np.abs(residual) - 0.5,
+                     0.5 * residual * residual)
+    loss = float(np.add.reduce(huber) / batch)
+    delta = np.zeros((batch, q.shape[1]))
+    delta[rows, actions] = np.minimum(np.maximum(residual, -1.0), 1.0) / batch
+    layers = [None] * net.n_layers
+    for i in range(last, -1, -1):
+        layers[i] = ((acts[i][:batch].T @ delta).ravel(), delta.sum(axis=0))
+        if i > 0:
+            delta = delta @ net.weights[i].T
+            delta *= masks[i - 1][:batch]
+    return loss, np.concatenate([part for layer in layers for part in layer])
+
+
+@settings(max_examples=80, deadline=None)
+@given(input_dim=st.integers(1, 3),
+       hidden=st.lists(st.integers(1, 24), max_size=3),
+       n_actions=st.integers(1, 4),
+       batch=st.integers(1, 40),
+       extra_rows=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_loss_equals_the_mask_multiply_loop_bit_for_bit(
+        input_dim, hidden, n_actions, batch, extra_rows, seed):
+    """The shared layer loop (ReLU by ``np.maximum``, masks read back from
+    the activations) gives the loss and gradient bits of the loop that
+    multiplied by masks, over ``[s; s2]``-like inputs of any row count."""
+    net = init_network(MlpSpec(input_dim, tuple(hidden), n_actions),
+                       seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in net.biases:
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    states = rng.normal(0.0, 1.0, (batch + extra_rows, input_dim))
+    actions = rng.integers(0, n_actions, batch)
+    y = rng.normal(0.0, 3.0, batch)  # residuals on both sides of 1
+    targets = (lambda q2: y + 0.5 * q2.max()) if extra_rows else y
+
+    loss, grads = loss_and_gradients(net, states, actions, targets)
+    want_loss, want_grads = _mask_multiply_loss(net, states, actions, targets)
+    assert loss.hex() == want_loss.hex()
+    assert grads.tobytes() == want_grads.tobytes()
 
 
 # ---------------------------------------------------------------- Adam

@@ -1,5 +1,5 @@
 """What importing the package costs: numpy, and no scipy; and no module
-imports a name it never uses."""
+imports a name it never uses, or imports inside a function."""
 
 import ast
 import os
@@ -46,3 +46,23 @@ def test_every_module_uses_what_it_imports():
     assert {name: names for name, names in unused.items() if names} == {}
     assert _unused_imports("import os\nfrom a import b as c\nc()\n") == \
         ["os (line 1)"]
+
+
+def _function_local_imports(source):
+    """The lines of imports made inside a function body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return sorted({inner.lineno
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, functions)
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_module_imports_inside_a_function():
+    package = Path(ringflow.__file__).resolve().parent
+    local = {path.name: _function_local_imports(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in local.items() if lines} == {}
+    assert _function_local_imports(
+        "import os\ndef f():\n    import sys\n    def g():\n"
+        "        from a import b\n") == [3, 5]
