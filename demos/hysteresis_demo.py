@@ -32,7 +32,7 @@ def main():
     print(f"loading peak: {flow:.0f} veh/h at {density:.1f} veh/km")
 
     print("draining the loop one vehicle at a time...")
-    _, unloading = unload_incrementally(ring, removal_seed=c.removal_seed)
+    unloading = unload_incrementally(ring, removal_seed=c.removal_seed)
 
     for k in (15.0, 20.0, 25.0):
         try:

@@ -18,6 +18,7 @@ from ringflow import (
     idm_plateau_speed,
     preset,
     select_action,
+    steady_speed,
     train,
 )
 
@@ -52,11 +53,10 @@ def main():
 
     plateau = idm_plateau_speed(built.env_spec)
     trace, _ = evaluate(result.network, built.env_spec, 3000)
-    tail = trace.mean_speed[int(len(trace) * 0.8):]
-    steady = float(tail.mean()) if len(tail) else 0.0
     print(
         f"greedy rollout: {len(trace)} steps, steady mean speed "
-        f"{steady:.2f} m/s vs all-human plateau {plateau:.2f} m/s"
+        f"{steady_speed(trace):.2f} m/s vs all-human plateau "
+        f"{plateau:.2f} m/s"
     )
     print(
         "note: with a single scalar state and uniform replay, the value "

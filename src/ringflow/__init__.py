@@ -80,6 +80,7 @@ from .scenario import (
     BuiltScenario,
     build_scenario,
     idm_plateau_speed,
+    steady_speed,
     unload_incrementally,
 )
 from .config import (

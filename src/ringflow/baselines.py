@@ -4,7 +4,7 @@ and the CAV-to-human switch-back experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from . import dqn, metrics, ring as ringmod
 
 PEAK_WINDOW = 100
 PEAK_FRACTION = 0.99
+SEARCH_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -143,22 +144,19 @@ class SwitchBackResult:
     reverted_trace: metrics.FdTrace
 
 
-def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
-    """Roll the CAV policy to its flow peak, then compare keeping CAV control
-    against reverting everyone to human driving for ``extra_steps``.
+def run_switch_back(policy, env_spec, extra_steps=200):
+    """Roll the CAV policy ``SEARCH_STEPS`` steps to its flow peak, then
+    compare keeping CAV control (``dqn.evaluate`` from the peak) against
+    reverting everyone to human driving for ``extra_steps``.
 
     Both continuation branches start from the same bit-identical snapshot.
     A collision ends the search rollout in a state that cannot be stepped;
     when the peak falls on it, the branches start from the state before
     (the start state, ``peak_step`` -1, if the first step collides).
     """
-    if search_steps < 1:
-        raise ValueError("search_steps must be >= 1")
-    greedy = dqn.greedy_controller(policy)
-    # every state of the search rollout is a fresh ring, so keeping them all
-    # lets the snapshot be taken at the peak without rolling out again
-    rings = []
-    ringmod.rollout(env_spec.snapshot, search_steps, greedy, rings.append)
+    rings = []  # ``rollout`` lets an observer keep every ring it sees
+    ringmod.rollout(env_spec.snapshot, SEARCH_STEPS,
+                    dqn.greedy_controller(policy), rings.append)
     flows = [metrics.measure(r)[1] for r in rings]
     peak_step = find_flow_peak_step(flows)
     if rings[peak_step].terminal:
@@ -170,15 +168,9 @@ def run_switch_back(policy, env_spec, extra_steps=200, search_steps=2000):
         rec.record(snap)
         cav_trace = reverted_trace = rec.finish()
     else:
-        cav_rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
-        ringmod.rollout(snap, extra_steps, greedy, cav_rec.record)
-        cav_trace = cav_rec.finish()
-        reverted_trace = run_idm_recovery(
-            snap, extra_steps, phase=metrics.Phase.CONTROLLED
-        )
-    return SwitchBackResult(
-        peak_step=peak_step,
-        snapshot=snap,
-        cav_trace=cav_trace,
-        reverted_trace=reverted_trace,
-    )
+        cav_trace, _ = dqn.evaluate(policy, replace(env_spec, snapshot=snap),
+                                    extra_steps)
+        reverted_trace = run_idm_recovery(snap, extra_steps,
+                                          phase=metrics.Phase.CONTROLLED)
+    return SwitchBackResult(peak_step=peak_step, snapshot=snap,
+                            cav_trace=cav_trace, reverted_trace=reverted_trace)

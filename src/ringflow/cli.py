@@ -93,9 +93,8 @@ def cmd_hysteresis(args):
     out = _out_dir(args)
     r = ring.RingState(config.length, config.dt, config.idm)
     r, loading = ring.load_vehicles(r, config.load_target)
-    _, unloading = scen.unload_incrementally(
-        r, removal_seed=config.removal_seed
-    )
+    unloading = scen.unload_incrementally(r,
+                                          removal_seed=config.removal_seed)
     loading.write(os.path.join(out, "loading_trace.csv"))
     unloading.write(os.path.join(out, "unloading_trace.csv"))
     svgplot.fundamental_diagram_chart(
@@ -118,8 +117,8 @@ def cmd_train(args):
         json.dump({"config": cfg.config_to_kv(config),
                    "success_flow_threshold":
                        built.env_spec.success_flow_threshold}, f, indent=2)
-    built.loading_trace.write(os.path.join(out, "loading_trace.csv"),
-                              decimation=10)
+    built.loading_trace.decimate(10).write(
+        os.path.join(out, "loading_trace.csv"))
     env = dqn.RingEnv(built.env_spec,
                       rng=np.random.default_rng(config.ddqn.seed))
     result = dqn.train(env, config.ddqn, spec=config.net_spec)
@@ -172,31 +171,28 @@ def cmd_compare(args):
         config, policy = _load_config(args), None
         env_spec = scen.build_scenario(config).env_spec
     out = _out_dir(args)
-    horizon = args.steps
-    idm_trace = baselines.run_idm_recovery(env_spec.snapshot, horizon)
-    idm_trace.write(os.path.join(out, "idm_recovery_trace.csv"))
-    vsl_trace, _ = baselines.run_vsl(env_spec.snapshot, config.vsl, horizon)
-    vsl_trace.write(os.path.join(out, "vsl_trace.csv"))
-    lines = [
-        "scenario,branch,peak_flow_veh_h,final_flow_veh_h,peak_mean_speed_mps",
-        _summary_row("idm", idm_trace),
-        _summary_row("vsl", vsl_trace),
-    ]
-    charts = [idm_trace, vsl_trace]
+    snap = env_spec.snapshot
+    branches = {  # name -> (trace file, trace), in row and chart order
+        "idm": ("idm_recovery_trace.csv",
+                baselines.run_idm_recovery(snap, args.steps)),
+        "vsl": ("vsl_trace.csv",
+                baselines.run_vsl(snap, config.vsl, args.steps)[0]),
+    }
     if policy is not None:
         sb = baselines.run_switch_back(policy, env_spec,
                                        extra_steps=args.extra_steps)
-        sb.cav_trace.write(os.path.join(out, "switchback_cav_trace.csv"))
-        sb.reverted_trace.write(
-            os.path.join(out, "switchback_reverted_trace.csv"))
-        lines.append(_summary_row("cav", sb.cav_trace))
-        lines.append(_summary_row("reverted", sb.reverted_trace))
-        charts += [sb.cav_trace, sb.reverted_trace]
+        branches["cav"] = ("switchback_cav_trace.csv", sb.cav_trace)
+        branches["reverted"] = ("switchback_reverted_trace.csv",
+                                sb.reverted_trace)
+    lines = ["scenario,branch,peak_flow_veh_h,final_flow_veh_h,"
+             "peak_mean_speed_mps"]
+    chart = svgplot.Chart("Flow comparison", "time (s)", "flow (veh/h)")
+    for branch, (name, trace) in branches.items():
+        trace.write(os.path.join(out, name))
+        lines.append(_summary_row(branch, trace))
+        chart.line(trace.steps * config.dt, trace.flow, label=branch)
     with open(os.path.join(out, "comparison.csv"), "w") as f:
         f.write("\n".join(lines) + "\n")
-    chart = svgplot.Chart("Flow comparison", "time (s)", "flow (veh/h)")
-    for label, t in zip(("idm", "vsl", "cav", "reverted"), charts):
-        chart.line(t.steps * config.dt, t.flow, label=label)
     chart.write(os.path.join(out, "comparison.svg"))
     print("\n".join(lines))
     print(f"wrote comparison outputs under {out}")
@@ -217,11 +213,7 @@ def cmd_mpr_calc(args):
         total_vehicles=args.total,
         cav_headway=args.cav_headway,
     )
-    try:
-        raw, count = mpr.required_cavs(scenario)
-    except (mpr.InfeasibleError, mpr.DegenerateScenarioError) as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
+    raw, count = mpr.required_cavs(scenario)
     achieved = mpr.verify_headway(scenario, count)
     print(f"raw = {raw:.6f}")
     print(f"count = {count}")

@@ -285,9 +285,10 @@ def train(env, config, spec):
     """Run the DDQN loop with a Q-network of ``spec``; fully deterministic
     for a given config seed.
 
-    ``env`` is anything with reset()/step()/n_actions/state_dim.  Timeout
-    (truncated) transitions are stored non-terminal so the bootstrap target
-    is unbiased.  Returns a TrainResult.
+    ``env`` is anything with reset()/step()/n_actions and ``state_dim`` 1:
+    the learner takes a scalar observation, as the replay row and
+    ``select_action`` do.  Timeout (truncated) transitions are stored
+    non-terminal so the bootstrap target is unbiased.  Returns a TrainResult.
 
     Each step is epsilon-greedy: it draws ``act_rng.random()`` once, before
     any Q-value is read (``explore_action``), and computes Q(s) only on a
@@ -296,7 +297,9 @@ def train(env, config, spec):
     ``[s; s2]`` (``loss_and_gradients`` with ``ddqn_targets`` as its
     targets).
     """
-    if spec.output_dim != env.n_actions or spec.input_dim != env.state_dim:
+    if env.state_dim != 1:
+        raise ValueError(f"train needs state_dim 1, not {env.state_dim}")
+    if spec.output_dim != env.n_actions or spec.input_dim != 1:
         raise ValueError("network spec does not match environment dimensions")
 
     seed_seq = np.random.SeedSequence(config.seed)

@@ -42,13 +42,12 @@ class FdTrace:
             mean_speed=self.mean_speed[::factor].copy(),
         )
 
-    def write(self, path, decimation=1):
-        """One CSV row per sample (every ``decimation``-th), formatted from
-        Python numbers (``tolist``), which print as numpy's do."""
-        t = self.decimate(decimation)
-        phase = t.phase.value
-        rows = zip(map(int, t.steps.tolist()), t.density.tolist(),
-                   t.flow.tolist(), t.mean_speed.tolist())
+    def write(self, path):
+        """One CSV row per sample, formatted from Python numbers
+        (``tolist``), which print as numpy's do."""
+        phase = self.phase.value
+        rows = zip(map(int, self.steps.tolist()), self.density.tolist(),
+                   self.flow.tolist(), self.mean_speed.tolist())
         with open(path, "w") as f:
             f.write("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n")
             f.writelines(f"{step},{phase},{k:.9g},{q:.9g},{u:.9g}\n"

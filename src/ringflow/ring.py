@@ -275,7 +275,9 @@ def rollout(ring, steps, control=None, observe=None):
     humans drive with no speed limit and CAVs get a zero command (all-human
     runs revert the CAVs first).  ``observe(ring)`` sees every new state.
     Returns ``(final_ring, CollisionReport | None)``; with ``steps <= 0``
-    the final ring is ``ring`` itself.
+    the final ring is ``ring`` itself.  Each observed ring is a new value
+    that later steps leave unchanged, so an observer may keep it
+    (``run_switch_back`` keeps every ring of its search rollout).
     """
     report = None
     for t in range(steps):

@@ -105,12 +105,17 @@ def unload_incrementally(ring, removal_seed=0, steps_between=30,
         ring, report = rollout(ring, steps_between, control, rec.record)
         if report is not None:
             break
-    return ring, rec.finish()
+    return rec.finish()
+
+
+def steady_speed(trace):
+    """A run's steady mean speed: the mean over the last ``PLATEAU_TAIL``
+    of its samples, 0.0 when that tail is empty."""
+    tail = trace.mean_speed[int(len(trace) * (1 - PLATEAU_TAIL)):]
+    return float(tail.mean()) if len(tail) else 0.0
 
 
 def idm_plateau_speed(env_spec):
-    """Steady-state mean speed of the all-human recovery on the snapshot:
-    the mean over the last ``PLATEAU_TAIL`` of ``PLATEAU_STEPS`` steps."""
-    trace = baselines.run_idm_recovery(env_spec.snapshot, PLATEAU_STEPS)
-    tail = trace.mean_speed[int(len(trace) * (1 - PLATEAU_TAIL)):]
-    return float(tail.mean())
+    """Steady speed of the all-human recovery on the snapshot."""
+    return steady_speed(
+        baselines.run_idm_recovery(env_spec.snapshot, PLATEAU_STEPS))

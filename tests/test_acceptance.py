@@ -38,6 +38,7 @@ from ringflow import (
     run_idm_recovery,
     run_switch_back,
     save_checkpoint,
+    steady_speed,
     train,
     unload_incrementally,
     verify_headway,
@@ -75,7 +76,7 @@ def test_criterion_1_hysteresis_loop():
     c = ScenarioConfig()
     r = RingState(c.length, c.dt, c.idm)
     r, loading = load_vehicles(r, c.load_target)
-    _, unloading = unload_incrementally(r, removal_seed=c.removal_seed)
+    unloading = unload_incrementally(r, removal_seed=c.removal_seed)
 
     pairs = _matched_flows(loading, unloading)
     below = sum(qu < ql for ql, qu in pairs)
@@ -339,8 +340,7 @@ def desk_training():
         # a greedy rollout that ends early has collided, and the speeds
         # before a crash are no steady state
         completed = len(trace) == EVAL_STEPS
-        tail = trace.mean_speed[int(len(trace) * 0.8):]
-        steady = float(tail.mean()) if len(tail) else 0.0
+        steady = steady_speed(trace)
         runs.append(
             {
                 "seed": seed,
@@ -425,8 +425,8 @@ def test_criterion_9_speed_harmonization_direction():
     r = RingState(c.length, c.dt, c.idm)
     r, _ = load_vehicles(r, c.load_target)
     base = r.copy()
-    _, plain = unload_incrementally(base, removal_seed=c.removal_seed)
-    _, vsl = unload_incrementally(
+    plain = unload_incrementally(base, removal_seed=c.removal_seed)
+    vsl = unload_incrementally(
         r.copy(), removal_seed=c.removal_seed, vsl=c.vsl
     )
     pairs = _matched_flows(plain, vsl)

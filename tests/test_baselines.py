@@ -159,8 +159,7 @@ def test_peak_of_short_series():
 def test_switch_back_zero_extra_steps_single_sample():
     ring, _ = _equilibrium_ring()
     spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
-    res = run_switch_back(_coast_policy(), spec, extra_steps=0,
-                          search_steps=300)
+    res = run_switch_back(_coast_policy(), spec, extra_steps=0)
     density, flow, mean_speed = measure(res.snapshot)
     for trace in (res.cav_trace, res.reverted_trace):
         assert len(trace) == 1
@@ -170,20 +169,12 @@ def test_switch_back_zero_extra_steps_single_sample():
                                          flow, mean_speed)
 
 
-def test_switch_back_needs_a_search_step():
-    ring, _ = _equilibrium_ring()
-    spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
-    with pytest.raises(ValueError):
-        run_switch_back(_coast_policy(), spec, extra_steps=10, search_steps=0)
-
-
 def test_switch_back_equilibrium_is_indistinguishable():
     # Coasting commanded vehicles on an equilibrium ring behave exactly like
     # the human car-following law, so both branches coincide.
     ring, v_eq = _equilibrium_ring()
     spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
-    res = run_switch_back(_coast_policy(), spec, extra_steps=100,
-                          search_steps=300)
+    res = run_switch_back(_coast_policy(), spec, extra_steps=100)
     np.testing.assert_allclose(res.cav_trace.mean_speed, v_eq, atol=1e-6)
     np.testing.assert_allclose(res.reverted_trace.mean_speed, v_eq,
                                atol=1e-6)

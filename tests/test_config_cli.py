@@ -6,7 +6,7 @@ import json
 import pytest
 
 from ringflow import ConfigError, ScenarioConfig, apply_profile, preset
-from ringflow import scenario
+from ringflow import baselines, scenario
 from ringflow.cli import _load_config, build_parser, main as cli_main
 from ringflow.config import (
     PRESETS,
@@ -226,12 +226,16 @@ def test_cli_mpr_calc_rejects_non_finite_headways(capsys, flag, value):
     assert "nan" not in captured.out
 
 
-def test_cli_mpr_calc_infeasible_exit_code():
-    code = cli_main([
-        "mpr-calc", "--total", "60", "--prev-headway", "2.5",
-        "--cur-headway", "2.6", "--cav-headway", "3.0",
-    ])
-    assert code == 3
+def test_cli_mpr_calc_infeasible_exit_code(capsys):
+    # a CAV headway that moves the average away from the target, then one
+    # equal to the current headway (degenerate)
+    for cur, cav in (("2.6", "3.0"), ("3", "3")):
+        code = cli_main([
+            "mpr-calc", "--total", "60", "--prev-headway", "2.5",
+            "--cur-headway", cur, "--cav-headway", cav,
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("infeasible: ")
 
 
 def test_cli_bad_config_key_exit_code(tmp_path):
@@ -382,6 +386,31 @@ def test_cli_compare_reads_its_checkpoint_before_loading(tmp_path,
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert "not a ringflow checkpoint" in capsys.readouterr().err
+
+
+def test_cli_compare_without_a_run_writes_the_two_human_branches(tmp_path):
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text("sim.length = 250.0\nscenario.load_target = 17\n"
+                       "scenario.removal_schedule = 4\n"
+                       "scenario.cav_count = 4\n")
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comparison.csv", "comparison.svg", "idm_recovery_trace.csv",
+        "vsl_trace.csv"]
+    rows = (out / "comparison.csv").read_text().splitlines()
+    assert rows[0].startswith("scenario,branch,")
+    assert [r.split(",")[1] for r in rows[1:]] == ["idm", "vsl"]
+    config = load_config(cfgfile)
+    snapshot = scenario.build_scenario(config).env_spec.snapshot
+    for name, trace in (
+            ("idm_recovery_trace.csv",
+             baselines.run_idm_recovery(snapshot, 2000)),
+            ("vsl_trace.csv",
+             baselines.run_vsl(snapshot, config.vsl, 2000)[0])):
+        trace.write(tmp_path / name)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_cli_file_keys_beat_the_profile(tmp_path):

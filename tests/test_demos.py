@@ -4,7 +4,8 @@ Each demo runs in a subprocess and its stdout is compared with a recorded
 copy of its text, so a change to the numbers or to how they are formatted
 shows.  The wave-dissipation and training demos stay manual: at about 5 s
 and 20 s they are too slow for the tier-1 run; the training demo's greedy
-map is checked on untrained nets instead.
+map is checked on untrained nets instead, and every demo module is loaded
+(without running it) so that its imports are checked.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ringflow import MlpSpec, init_network, select_action
 
@@ -68,6 +70,14 @@ def _demo_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_demo_module_loads(path):
+    # loading runs a demo's imports but not its main, so a ringflow name a
+    # demo imports cannot vanish unnoticed
+    assert callable(_demo_module(path.stem).main)
 
 
 def test_training_demo_greedy_map_is_the_controllers_action_per_speed():

@@ -371,6 +371,26 @@ def value_iteration_toy(gamma=0.9):
     return q
 
 
+class _PairObservationEnv:
+    """An env whose observation is a pair; ``train`` must refuse it before
+    ``reset``."""
+
+    n_actions = 3
+    state_dim = 2
+
+    def reset(self):
+        raise AssertionError("reset called")
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_train_rejects_a_non_scalar_observation_before_reset(epsilon):
+    cfg = DdqnConfig(episodes=1, total_train_steps=5,
+                     epsilon=EpsilonSchedule(epsilon, epsilon, decay_steps=5),
+                     lr=LrSchedule(total_steps=5), seed=0)
+    with pytest.raises(ValueError, match="state_dim 1, not 2"):
+        train(_PairObservationEnv(), cfg, spec=MlpSpec(2, (4,), 3))
+
+
 def test_zero_episodes_returns_untouched_network():
     env = ToyMdp()
     cfg = DdqnConfig(episodes=0, total_train_steps=10,

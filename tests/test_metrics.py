@@ -104,7 +104,7 @@ def test_trace_writer_matches_a_per_row_reference(tmp_path, decimation):
                 density=values, flow=values[::-1].copy(),
                 mean_speed=np.roll(values, 3))
     path = tmp_path / "t.csv"
-    t.write(path, decimation)
+    t.decimate(decimation).write(path)
     assert path.read_text() == _reference_csv(t.decimate(decimation))
 
 

@@ -1,12 +1,22 @@
 """build_scenario loads each ring once per process and hands out
-independent scenarios that share the loaded ring's read-only arrays."""
+independent scenarios that share the loaded ring's read-only arrays; one
+steady-speed rule serves every experiment."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from ringflow import IdmParams, ScenarioConfig, scenario
+from ringflow import (
+    FdTrace,
+    IdmParams,
+    Phase,
+    ScenarioConfig,
+    idm_plateau_speed,
+    run_idm_recovery,
+    scenario,
+    steady_speed,
+)
 
 BASE = ScenarioConfig(length=150.0, load_target=8, removal_schedule=(2,),
                       cav_count=2)
@@ -71,3 +81,22 @@ def test_loading_trace_arrays_are_read_only(loads):
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         trace.flow[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 11, 13, 99, 3000])
+def test_steady_speed_is_the_mean_of_the_last_fifth(n):
+    speeds = np.random.default_rng(n).uniform(0.0, 30.0, n)
+    trace = FdTrace(Phase.CONTROLLED, steps=np.arange(n),
+                    density=np.zeros(n), flow=np.zeros(n), mean_speed=speeds)
+    want = float(speeds[int(n * 0.8):].mean())
+    assert steady_speed(trace) == want
+
+
+def test_steady_speed_of_an_empty_trace_is_zero():
+    assert steady_speed(FdTrace(Phase.CONTROLLED)) == 0.0
+
+
+def test_plateau_is_the_steady_speed_of_the_all_human_recovery(loads):
+    spec = scenario.build_scenario(BASE).env_spec
+    assert idm_plateau_speed(spec) == steady_speed(
+        run_idm_recovery(spec.snapshot, scenario.PLATEAU_STEPS))
