@@ -23,12 +23,25 @@ from ringflow import (
 )
 
 PROBE_SPEEDS = np.linspace(0.0, 12.0, 13)  # m/s, for the greedy map
+EVAL_STEPS = 3000
 
 
 def greedy_map(net, v0):
     """The controller's action at each probe mean speed, as '-', '0' or '+':
     its observation is the mean speed over the desired speed ``v0``."""
     return "".join("-0+"[select_action(net, v / v0)] for v in PROBE_SPEEDS)
+
+
+def rollout_line(trace, plateau):
+    """The greedy rollout's line: its steady speed against the plateau, or,
+    for a rollout that ended before ``EVAL_STEPS`` (it collided), the step
+    of the crash, since the speeds before a crash are no steady state."""
+    if len(trace) < EVAL_STEPS:
+        return (f"greedy rollout: collided at step {len(trace)} (not steady), "
+                f"all-human plateau {plateau:.2f} m/s")
+    return (f"greedy rollout: {len(trace)} steps, steady mean speed "
+            f"{steady_speed(trace):.2f} m/s vs all-human plateau "
+            f"{plateau:.2f} m/s")
 
 
 def main():
@@ -52,12 +65,8 @@ def main():
           f"{greedy_map(result.network, c.idm.v0)}")
 
     plateau = idm_plateau_speed(built.env_spec)
-    trace, _ = evaluate(result.network, built.env_spec, 3000)
-    print(
-        f"greedy rollout: {len(trace)} steps, steady mean speed "
-        f"{steady_speed(trace):.2f} m/s vs all-human plateau "
-        f"{plateau:.2f} m/s"
-    )
+    trace, _ = evaluate(result.network, built.env_spec, EVAL_STEPS)
+    print(rollout_line(trace, plateau))
     print(
         "note: with a single scalar state and uniform replay, the value "
         "function settles into an optimistic fixed point and the greedy "

@@ -90,11 +90,11 @@ def _read_run(run_dir):
 
 def cmd_hysteresis(args):
     config = _load_config(args)
-    out = _out_dir(args)
     r = ring.RingState(config.length, config.dt, config.idm)
     r, loading = ring.load_vehicles(r, config.load_target)
     unloading = scen.unload_incrementally(r,
                                           removal_seed=config.removal_seed)
+    out = _out_dir(args)
     loading.write(os.path.join(out, "loading_trace.csv"))
     unloading.write(os.path.join(out, "unloading_trace.csv"))
     svgplot.fundamental_diagram_chart(

@@ -8,6 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _operand(value):
+    """``value`` as a read-only 0-d float64 array: what numpy makes of a
+    Python float operand on every ufunc call, made once."""
+    operand = np.array(value, dtype=np.float64)
+    operand.setflags(write=False)
+    return operand
+
+
+_ZERO, _ONE = _operand(0.0), _operand(1.0)
+
+
 class AlreadyCollidingError(ValueError):
     """Raised when the scalar IDM reference is evaluated at a non-positive
     gap."""
@@ -42,10 +53,14 @@ class IdmParams:
                                  f"strictly positive, not a bool")
         if self.delta < 1:
             raise ValueError("IdmParams.delta must be >= 1")
-        # the denominator of the braking term of s*, computed once (not a
-        # field: equality, hashing and the config format ignore it)
+        # the operands of ``idm_acceleration_vec`` and ``ring.step``, each
+        # field as ``_<name>`` and the braking denominator 2 sqrt(a_max b),
+        # made once (not fields: equality, hashing and the config format
+        # ignore them)
+        for name in ("v0", "T", "a_max", "delta", "s0", "vehicle_length"):
+            object.__setattr__(self, f"_{name}", _operand(getattr(self, name)))
         object.__setattr__(self, "_two_sqrt_ab",
-                           2.0 * math.sqrt(self.a_max * self.b))
+                           _operand(2.0 * math.sqrt(self.a_max * self.b)))
 
     def check_speed_limit(self, v_desired):
         """``ValueError`` unless ``v_desired`` is finite and positive and the
@@ -88,20 +103,24 @@ def idm_acceleration_vec(v, leader_v, gap, params, v_desired=None):
     The operations, and the operands of each, are those of the scalar form
     in the same order, so the bits are too.  They run in place on three
     fresh temporaries (the third argument of a ufunc is its output), never
-    in an argument.
+    in an argument.  A constant operand is the read-only 0-d float64 array
+    that ``params`` (or this module) made once, never a Python float: numpy
+    would convert the float to just such an array on every call, so the
+    loop and the bits are the same and the conversion is saved.  A speed
+    limit ``v_desired`` changes from call to call and stays a float.
     """
-    vd = params.v0 if v_desired is None else v_desired
+    vd = params._v0 if v_desired is None else v_desired
     s_star = np.subtract(v, leader_v)  # dv
     np.multiply(v, s_star, s_star)
     np.divide(s_star, params._two_sqrt_ab, s_star)
-    np.add(v * params.T, s_star, s_star)
-    np.maximum(0.0, s_star, out=s_star)
-    np.add(params.s0, s_star, s_star)
+    np.add(v * params._T, s_star, s_star)
+    np.maximum(_ZERO, s_star, out=s_star)
+    np.add(params._s0, s_star, s_star)
     np.divide(s_star, gap, s_star)
     np.square(s_star, s_star)  # what ``** 2`` calls
     accel = v / vd
-    np.power(accel, params.delta, accel)
-    np.subtract(1.0, accel, accel)
+    np.power(accel, params._delta, accel)
+    np.subtract(_ONE, accel, accel)
     np.subtract(accel, s_star, accel)
-    np.multiply(params.a_max, accel, accel)
+    np.multiply(params._a_max, accel, accel)
     return accel

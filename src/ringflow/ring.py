@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .idm import IdmParams, idm_acceleration_vec
+from .idm import _ZERO, IdmParams, _operand, idm_acceleration_vec
 from . import metrics
 
 SNAPSHOT_FORMAT = "ringflow-snapshot"
@@ -29,6 +29,8 @@ LOAD_MAX_STEPS = 400_000
 _COLUMNS = (("_ids", np.int64), ("_cav", bool), ("_pos", np.float64),
             ("_v", np.float64), ("_a", np.float64))
 _COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
+
+_HALF = _operand(0.5)
 
 
 class VehicleKind(Enum):
@@ -70,7 +72,9 @@ class RingState:
     ``_pos`` (``_gap_memo``) and whether any vehicle is a CAV on ``_cav``
     (``_cav_memo``).  Binding a new column invalidates its memo, with no
     list of sites to keep; the memo holds the array, so its identity cannot
-    be reused while the memo lives.
+    be reused while the memo lives.  ``_length`` and ``_dt`` are ``length``
+    and ``dt`` as the read-only 0-d operands of the step's ufunc calls, made
+    here once and shared by copies.
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
@@ -80,6 +84,7 @@ class RingState:
                              "not bools")
         self.length = float(length)
         self.dt = float(dt)
+        self._length, self._dt = _operand(self.length), _operand(self.dt)
         self.params = params if params is not None else IdmParams()
         self.step_count = 0
         self.terminal = False
@@ -141,8 +146,8 @@ class RingState:
         if memo_pos is not pos:
             gaps = _lead(pos)
             np.subtract(gaps, pos, gaps)
-            np.remainder(gaps, self.length, gaps)
-            np.subtract(gaps, self.params.vehicle_length, gaps)
+            np.remainder(gaps, self._length, gaps)
+            np.subtract(gaps, self.params._vehicle_length, gaps)
             gaps.setflags(write=False)
             self._gap_memo = (pos, gaps)
         return gaps
@@ -207,7 +212,11 @@ def step(ring, cav_accel=0.0, v_desired=None):
     column.  The expressions keep their order: ``0.5 * accel * dt * dt`` is
     not reassociated, and ``** delta`` stays a power.  Speeds are limited
     with ``clip``, not ``minimum``/``maximum``: those turn a speed of -0.0
-    into +0.0, and ``clip`` keeps it.
+    into +0.0, and ``clip`` keeps it.  Constant operands are read-only 0-d
+    float64 arrays made once (``_ZERO``, ``_HALF``, the ring's ``_dt`` and
+    ``_length``, the params' ``_v0``), not Python floats that numpy would
+    convert to such arrays on every call; a CAV command changes from step to
+    step and stays a float.
     """
     if ring.terminal:
         raise ValueError("cannot step a terminal ring (it has collided)")
@@ -232,18 +241,18 @@ def step(ring, cav_accel=0.0, v_desired=None):
     if out._any_cav():
         np.copyto(accel, cav_accel, where=out._cav)
 
-    dt = out.dt
+    dt = out._dt
     v_new = accel * dt
     np.add(v, v_new, v_new)
-    v_new.clip(0.0, p.v0, out=v_new)
-    half = np.multiply(0.5, accel)
+    v_new.clip(_ZERO, p._v0, out=v_new)
+    half = np.multiply(_HALF, accel)
     np.multiply(half, dt, half)
     np.multiply(half, dt, half)
     disp = v * dt
     np.add(disp, half, disp)
-    np.maximum(disp, 0.0, out=disp)  # no reversing
+    np.maximum(disp, _ZERO, out=disp)  # no reversing
     np.add(out._pos, disp, disp)
-    np.remainder(disp, out.length, disp)
+    np.remainder(disp, out._length, disp)
     out._pos = disp
     out._v = v_new
     out._a = accel

@@ -7,6 +7,7 @@ import pytest
 
 from ringflow import ConfigError, ScenarioConfig, apply_profile, preset
 from ringflow import baselines, scenario
+from ringflow import ring as ringmod
 from ringflow.cli import _load_config, build_parser, main as cli_main
 from ringflow.config import (
     PRESETS,
@@ -359,6 +360,18 @@ def test_cli_train_schedule_it_cannot_meet_fails_before_out(tmp_path, capsys,
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_hysteresis_stalled_loading_fails_before_out(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(ringmod, "LOAD_MAX_STEPS", 5)
+    cfgfile = tmp_path / "stall.cfg"
+    cfgfile.write_text("scenario.load_target = 2\n")
+    code = cli_main(["hysteresis", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "loading stalled at 1/2 vehicles" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,8 +4,9 @@ Each demo runs in a subprocess and its stdout is compared with a recorded
 copy of its text, so a change to the numbers or to how they are formatted
 shows.  The wave-dissipation and training demos stay manual: at about 5 s
 and 20 s they are too slow for the tier-1 run; the training demo's greedy
-map is checked on untrained nets instead, and every demo module is loaded
-(without running it) so that its imports are checked.
+map is checked on untrained nets and its rollout line on hand-made traces
+instead, and every demo module is loaded (without running it) so that its
+imports are checked.
 """
 
 import importlib.util
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 
 from ringflow import MlpSpec, init_network, select_action
+
+from conftest import trace_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,3 +96,15 @@ def test_training_demo_greedy_map_is_the_controllers_action_per_speed():
         assert demo.greedy_map(net, 30.0) == want
         maps.add(want)
     assert len(maps) > 3  # maps that switch action inside the probe range
+
+
+def test_training_demo_reports_a_crashed_rollout_as_not_steady():
+    demo = _demo_module("training_demo")
+    crashed = trace_of([(17.0, 480.0)] * 78)  # 7.84 m/s for 78 steps
+    assert demo.rollout_line(crashed, 7.52) == (
+        "greedy rollout: collided at step 78 (not steady), all-human "
+        "plateau 7.52 m/s")
+    full = trace_of([(17.0, 0.0)] * 2400 + [(17.0, 612.0)] * 600)
+    assert demo.rollout_line(full, 7.52) == (
+        "greedy rollout: 3000 steps, steady mean speed 10.00 m/s vs "
+        "all-human plateau 7.52 m/s")

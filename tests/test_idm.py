@@ -1,15 +1,21 @@
 """Car-following acceleration law: hand-checked values and limit behavior."""
 
 import math
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringflow import AlreadyCollidingError, IdmParams
+from ringflow import AlreadyCollidingError, IdmParams, ScenarioConfig
+from ringflow.config import config_to_kv
 from ringflow.idm import idm_acceleration, idm_acceleration_vec
 
-from conftest import equilibrium_speed
+from conftest import equilibrium_speed, idm_params_drawn
+
+FIELDS = ("v0", "T", "a_max", "b", "delta", "s0", "vehicle_length")
+OPERANDS = ("v0", "T", "a_max", "delta", "s0", "vehicle_length",
+            "two_sqrt_ab")
 
 
 def test_hand_value_matched_speeds_midrange_gap(idm_params):
@@ -90,3 +96,41 @@ def test_invalid_params_rejected():
         IdmParams(T=0.0)
     with pytest.raises(ValueError):
         IdmParams(a_max=-0.5)
+
+
+# -------------------------------------------- constant operands of the kernel
+
+
+@given(idm_params_drawn)
+def test_constant_operands_are_read_only_arrays_of_the_fields(p):
+    values = {name: getattr(p, name) for name in OPERANDS[:-1]}
+    values["two_sqrt_ab"] = 2.0 * math.sqrt(p.a_max * p.b)
+    for name, value in values.items():
+        operand = getattr(p, f"_{name}")
+        assert operand.dtype == np.float64 and operand.ndim == 0, name
+        assert operand.item().hex() == float(value).hex(), name
+        with pytest.raises(ValueError, match="read-only"):
+            operand[()] = 0.0
+
+
+def test_replace_makes_new_constant_operands():
+    p = IdmParams()
+    q = replace(p, v0=25.0, b=3.0)
+    assert (p._v0, q._v0) == (30.0, 25.0)
+    assert q._two_sqrt_ab == 2.0 * math.sqrt(3.0)
+    for name in OPERANDS:
+        assert getattr(q, f"_{name}") is not getattr(p, f"_{name}"), name
+
+
+def test_constant_operands_are_no_part_of_the_parameters_value():
+    p, q = IdmParams(), IdmParams()
+    assert p._v0 is not q._v0
+    assert tuple(f.name for f in fields(IdmParams)) == FIELDS
+    assert p == q and hash(p) == hash(q)
+    assert hash(p) == hash(tuple(getattr(p, name) for name in FIELDS))
+    assert asdict(p) == {"v0": 30.0, "T": 1.5, "a_max": 1.0, "b": 2.0,
+                         "delta": 4.0, "s0": 2.0, "vehicle_length": 5.0}
+    assert [line for line in config_to_kv(ScenarioConfig()).splitlines()
+            if line.startswith("idm.")] == [
+        "idm.v0 = 30.0", "idm.T = 1.5", "idm.a_max = 1.0", "idm.b = 2.0",
+        "idm.delta = 4.0", "idm.s0 = 2.0", "idm.vehicle_length = 5.0"]

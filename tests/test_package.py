@@ -66,3 +66,50 @@ def test_no_module_imports_inside_a_function():
     assert _function_local_imports(
         "import os\ndef f():\n    import sys\n    def g():\n"
         "        from a import b\n") == [3, 5]
+
+
+# the simulator kernels, as (module file, class or None, function)
+KERNELS = (("idm.py", None, "idm_acceleration_vec"), ("ring.py", None, "step"),
+           ("ring.py", "RingState", "_gaps"))
+
+
+def _float_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def _float_literal_operands(function):
+    """The lines where ``function`` passes a float literal to a call or
+    takes one as an arithmetic operand: numpy converts such a float to a
+    0-d array on every call, where a constant made once serves."""
+    lines = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            operands = node.args + [k.value for k in node.keywords]
+        elif isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        else:
+            continue
+        lines.update(node.lineno for x in operands if _float_literal(x))
+    return sorted(lines)
+
+
+def _function(tree, owner, name):
+    if owner is not None:
+        tree = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == owner)
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_simulator_kernels_take_no_float_literal_operand():
+    package = Path(ringflow.__file__).resolve().parent
+    found = {name: _float_literal_operands(_function(
+                 ast.parse((package / module).read_text()), owner, name))
+             for module, owner, name in KERNELS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _float_literal_operands(ast.parse(
+        "def f(disp, v, k):\n    np.maximum(disp, 0.0, out=disp)\n"
+        "    w = 0.5 * v\n    x = v.clip(-1.0, k)\n    y = k * 2 + (v <= 0.0)\n"
+        "    np.copyto(v, k, where=v > 0.0)\n").body[0]) == [2, 3, 4]

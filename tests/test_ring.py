@@ -297,6 +297,34 @@ def test_snapshot_json_round_trip():
             assert a == b and type(a) is type(b), name
 
 
+def test_copies_share_the_constant_operands_and_snapshots_rebuild_them():
+    ring = make_ring([0.0, 50.0], [5.0, 5.0], length=300.0, dt=0.05,
+                     params=IdmParams(v0=20.0))
+    for operand, value in ((ring._length, 300.0), (ring._dt, 0.05)):
+        assert operand.dtype == np.float64 and operand.ndim == 0
+        assert operand == value
+        with pytest.raises(ValueError, match="read-only"):
+            operand[()] = 1.0
+    stepped, _ = ringmod.step(ring)
+    for r in (ring.copy(), stepped):
+        assert r._length is ring._length and r._dt is ring._dt
+        assert r.params is ring.params
+    text = snapshot_to_json(ring)
+    doc = json.loads(text)
+    assert sorted(doc) == ["dt", "format", "idm", "length", "next_id",
+                           "step_count", "terminal", "vehicles", "version"]
+    assert doc["idm"] == {"v0": 20.0, "T": 1.5, "a_max": 1.0, "b": 2.0,
+                          "delta": 4.0, "s0": 2.0, "vehicle_length": 5.0}
+    loaded = snapshot_from_json(text)
+    for name in ("_length", "_dt"):
+        operand = getattr(loaded, name)
+        assert operand is not getattr(ring, name)
+        assert operand == getattr(ring, name) and not operand.flags.writeable
+    assert loaded.params == ring.params
+    assert loaded.params._v0 is not ring.params._v0
+    assert loaded.params._v0 == 20.0
+
+
 def test_snapshot_keys_and_unread_keys_are_ignored():
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     assert set(doc) == {"format", "version", "length", "dt", "step_count",
