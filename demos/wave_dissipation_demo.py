@@ -15,9 +15,15 @@ switching the CAVs back to human car-following lets the wave re-form.  Run:
     python3 demos/wave_dissipation_demo.py
 """
 
-import numpy as np
-
-from ringflow import apply_profile, build_scenario, idm_plateau_speed, preset
+from ringflow import (
+    Phase,
+    TraceRecorder,
+    apply_profile,
+    build_scenario,
+    idm_plateau_speed,
+    preset,
+    steady_speed,
+)
 from ringflow.ring import revert_to_human, rollout
 
 
@@ -43,13 +49,13 @@ def main():
     print(f"all-human recovery plateau on this snapshot: {plateau:.2f} m/s")
 
     horizon = 8000
-    speeds = []
-    ring, report = rollout(ring, horizon, scripted_accel,
-                           lambda r: speeds.append(r.mean_speed()))
+    rec = TraceRecorder(Phase.CONTROLLED)
+    ring, report = rollout(ring, horizon, scripted_accel, rec.record)
+    trace = rec.finish()
     if report is not None:
-        print(f"collision at step {len(speeds) - 1} — unexpected")
+        print(f"collision at step {len(trace) - 1} — unexpected")
         return
-    tail = float(np.mean(speeds[-1600:]))
+    tail = steady_speed(trace)
     print(
         f"scripted platoon control: no collision in {horizon} steps, "
         f"steady mean speed {tail:.2f} m/s "

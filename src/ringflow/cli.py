@@ -149,8 +149,8 @@ def cmd_evaluate(args):
         [loading, trace],
         "Controlled rollout vs loading branch",
     ).write(os.path.join(out, "fd_overlay.svg"))
-    svgplot.time_series_chart(trace, "mean_speed", config.dt,
-                              "Mean speed under control").write(
+    svgplot.mean_speed_chart(trace, config.dt,
+                             "Mean speed under control").write(
         os.path.join(out, "speed_series.svg"))
     svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
         os.path.join(out, "trajectories.svg"))

@@ -10,6 +10,7 @@ first beats the loading-phase peak.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,11 +173,19 @@ class RingEnv:
         """Broadcast the commanded acceleration to all CAVs for one time step.
 
         Returns ``(state, reward, done, info)``; info carries flow and the
-        collision/success/truncated flags.
+        collision/success/truncated flags.  An action that is not an integer
+        in ``[0, n_actions)`` is a ``ValueError``, not a wrapped index.
         """
         if self._done:
             raise EnvTerminatedError("step() called on a terminated episode")
-        accel = ACTION_ACCELS[action_index]
+        try:
+            i = operator.index(action_index)
+        except TypeError:
+            i = None
+        if i is None or not 0 <= i < self.n_actions:
+            raise ValueError(f"action {action_index!r} is not an integer in "
+                             f"[0, {self.n_actions})")
+        accel = ACTION_ACCELS[i]
         self.ring, report = ringmod.step(self.ring, cav_accel=accel)
         self._steps += 1
 

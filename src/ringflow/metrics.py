@@ -102,11 +102,8 @@ class TraceRecorder:
 
 def measure(ring):
     """Instantaneous loop-wide ``(density, flow, mean_speed)``, in FdTrace
-    column order: k = N/L, u = mean speed, q = k*u."""
-    n = ring.n
-    if n == 0:
-        return 0.0, 0.0, 0.0
-    density = n / ring.length * 1000.0  # veh/km
+    column order: k = N/L, u = mean speed, q = k*u; all 0.0 when empty."""
+    density = ring.n / ring.length * 1000.0  # veh/km
     u = ring.mean_speed()
     return density, density * u * 3.6, u  # veh/km * m/s -> veh/h
 

@@ -138,15 +138,18 @@ class RingState:
             setattr(self, name, getattr(self, name)[index])
 
     def _gaps(self):
-        """Bumper-to-bumper gap of every vehicle to its ring leader (read-only,
-        computed once per ``_pos`` array; ``length`` and ``params`` are
-        never rebound)."""
+        """Bumper-to-bumper gap of every vehicle to its ring leader; a lone
+        vehicle leads itself, a whole loop ahead (read-only, computed once
+        per ``_pos`` array; ``length`` and ``params`` are never rebound)."""
         pos = self._pos
         memo_pos, gaps = self._gap_memo
         if memo_pos is not pos:
-            gaps = _lead(pos)
-            np.subtract(gaps, pos, gaps)
-            np.remainder(gaps, self._length, gaps)
+            if len(pos) == 1:
+                gaps = np.array([self.length])
+            else:
+                gaps = _lead(pos)
+                np.subtract(gaps, pos, gaps)
+                np.remainder(gaps, self._length, gaps)
             np.subtract(gaps, self.params._vehicle_length, gaps)
             gaps.setflags(write=False)
             self._gap_memo = (pos, gaps)
@@ -196,7 +199,10 @@ def step(ring, cav_accel=0.0, v_desired=None):
     ``cav_accel``.  ``v_desired``, when given, caps the IDM desired speed
     (speed-limit control).  Returns ``(new_ring, CollisionReport | None)``;
     a collision marks the returned ring terminal, and a terminal ring cannot
-    be stepped again.
+    be stepped again.  Every vehicle count but 0 takes one rule: gaps from
+    ``RingState._gaps`` (so a lone vehicle on a loop no longer than itself
+    collides with itself), and one collision test whose report names the
+    first vehicle with the least gap.
 
     ``ring`` is left as it was.  The new ring shares its ids and CAV marks
     (and their memo) and binds new positions, speeds and accelerations; the
@@ -205,39 +211,32 @@ def step(ring, cav_accel=0.0, v_desired=None):
     ``(v0 / v_desired) ** delta`` overflows, is a ``ValueError``.
 
     The arithmetic is that of the first vectorized step, operation for
-    operation, so the bits are too.  Leaders' entries come from ``_lead``
-    (a ``take`` with an index cached per vehicle count), the CAV test from
-    the ring's CAV memo, and the new arrays are computed in place (a ufunc's
-    third argument is its output) on fresh temporaries, never in a bound
-    column.  The expressions keep their order: ``0.5 * accel * dt * dt`` is
-    not reassociated, and ``** delta`` stays a power.  Speeds are limited
-    with ``clip``, not ``minimum``/``maximum``: those turn a speed of -0.0
-    into +0.0, and ``clip`` keeps it.  Constant operands are read-only 0-d
-    float64 arrays made once (``_ZERO``, ``_HALF``, the ring's ``_dt`` and
-    ``_length``, the params' ``_v0``), not Python floats that numpy would
-    convert to such arrays on every call; a CAV command changes from step to
-    step and stays a float.
+    operation, so the bits are too.  Leaders' entries come from ``_lead``,
+    the CAV test from the ring's CAV memo, and the new arrays are computed
+    in place (a ufunc's third argument is its output) on fresh temporaries,
+    never in a bound column.  The expressions keep their order:
+    ``0.5 * accel * dt * dt`` is not reassociated, and ``** delta`` stays a
+    power.  Speeds are limited with ``clip``, not ``minimum``/``maximum``:
+    those turn a speed of -0.0 into +0.0, and ``clip`` keeps it.  Constant
+    operands are read-only 0-d float64 arrays made once (``_ZERO``,
+    ``_HALF``, the ring's ``_dt`` and ``_length``, the params' ``_v0``), not
+    Python floats that numpy would convert to such arrays on every call; a
+    CAV command changes from step to step and stays a float.
     """
     if ring.terminal:
         raise ValueError("cannot step a terminal ring (it has collided)")
     if v_desired is not None:
         ring.params.check_speed_limit(v_desired)
     out = ring.copy()
+    out.step_count += 1
     p = out.params
     n = out.n
     if n == 0:
-        out.step_count += 1
         return out, None
 
     v = out._v
-    if n == 1:
-        gaps = np.array([out.length - p.vehicle_length])
-        lead_v = v
-    else:
-        gaps = out._gaps()
-        lead_v = _lead(v)
-
-    accel = idm_acceleration_vec(v, lead_v, gaps, p, v_desired=v_desired)
+    accel = idm_acceleration_vec(v, _lead(v), out._gaps(), p,
+                                 v_desired=v_desired)
     if out._any_cav():
         np.copyto(accel, cav_accel, where=out._cav)
 
@@ -256,16 +255,13 @@ def step(ring, cav_accel=0.0, v_desired=None):
     out._pos = disp
     out._v = v_new
     out._a = accel
-    out.step_count += 1
 
-    if n < 2:
-        return out, None
     new_gaps = out._gaps()
-    # one reduction finds no collision; fmin skips NaN, as ``<=`` does
+    # one reduction finds no collision; fmin and nanargmin skip NaN, as
+    # ``<=`` does
     if not np.fmin.reduce(new_gaps) <= 0.0:
         return out, None
-    bad = np.nonzero(new_gaps <= 0.0)[0]
-    i = int(bad[np.argmin(new_gaps[bad])])
+    i = int(np.nanargmin(new_gaps))
     j = (i + 1) % n
     out.terminal = True
     return out, CollisionReport(
@@ -344,12 +340,9 @@ def load_vehicles(ring, target_count):
     check_capacity(ring.length, ring.params, target_count)
     out = ring.copy()
     rec = metrics.TraceRecorder(metrics.Phase.LOADING)
-    if target_count <= out.n:
-        return out, rec.finish()
-    steps = 0
     since_insert = LOAD_COOLDOWN_STEPS
     while out.n < target_count:
-        if steps >= LOAD_MAX_STEPS:
+        if out.step_count - ring.step_count >= LOAD_MAX_STEPS:
             raise CapacityError(
                 f"loading stalled at {out.n}/{target_count} vehicles "
                 f"after {LOAD_MAX_STEPS} steps"
@@ -362,7 +355,6 @@ def load_vehicles(ring, target_count):
         if report is not None:
             raise RuntimeError(f"collision during loading: {report}")
         rec.record(out)
-        steps += 1
         since_insert += 1
     return out, rec.finish()
 
@@ -373,11 +365,8 @@ def remove_vehicles(ring, count, seed):
     if count >= ring.n:
         raise ValueError(f"cannot remove {count} of {ring.n} vehicles")
     out = ring.copy()
-    if count == 0:
-        return out
-    drop = np.sort(np.random.default_rng(seed).choice(out.n, count,
-                                                      replace=False))
-    out._take(np.setdiff1d(np.arange(out.n), drop))
+    drop = np.random.default_rng(seed).choice(out.n, count, replace=False)
+    out._take(np.setdiff1d(np.arange(out.n), drop))  # sorted, as kept
     return out
 
 
@@ -468,9 +457,10 @@ def snapshot_from_json(text):
     is missing, ``step_count``, ``next_id`` or an id is not an int >= 0,
     ``terminal`` is not a bool, ``length``, ``dt`` or an IDM parameter is a
     bool, a number is not finite, ids repeat or reach ``next_id``, a kind is
-    unknown, positions leave [0, length) or cyclic ring order, or speeds
-    leave [0, v0].  Other keys, such as the unused seed that older versions
-    wrote, are ignored.
+    unknown, positions leave [0, length) or cyclic ring order, speeds leave
+    [0, v0], or vehicles overlap (a gap <= 0) in a ring that has not
+    collided.  Other keys, such as the unused seed older versions wrote, are
+    ignored.
     """
     try:
         doc = json.loads(text)
@@ -507,6 +497,8 @@ def snapshot_from_json(text):
         raise ValueError("vehicle positions are not in ring order")
     if ((v < 0.0) | (v > p.v0)).any():
         raise ValueError(f"a speed lies outside [0, v0 = {p.v0}]")
+    if not ring.terminal and not (ring._gaps() > 0.0).all():
+        raise ValueError("vehicles overlap in a ring that has not collided")
     return ring
 
 

@@ -18,6 +18,8 @@ from .ring import (
 
 PLATEAU_STEPS = 3000
 PLATEAU_TAIL = 0.2
+UNLOAD_STEPS_BETWEEN = 30  # steps after each departure of the unloading
+UNLOAD_STOP_AT = 2  # vehicles left when the unloading ends
 
 # Loaded rings kept by build_scenario, one per distinct loading input.
 LOAD_CACHE_SIZE = 4
@@ -87,10 +89,10 @@ def env_spec(config, snapshot, success_flow_threshold):
     )
 
 
-def unload_incrementally(ring, removal_seed=0, steps_between=30,
-                         stop_at=2, vsl=None):
-    """Random single-vehicle departures until ``stop_at`` vehicles remain,
-    stepping the ring between departures; returns the unloading FdTrace.
+def unload_incrementally(ring, removal_seed=0, vsl=None):
+    """Random single-vehicle departures (the k-th drawn with seed
+    ``removal_seed + k``), each followed by ``UNLOAD_STEPS_BETWEEN`` steps,
+    until ``UNLOAD_STOP_AT`` vehicles remain; returns the unloading FdTrace.
 
     When a speed-limit ``vsl`` policy is given, the active limit caps the
     desired speed of every driver, refreshed by the policy's rule over the
@@ -99,10 +101,11 @@ def unload_incrementally(ring, removal_seed=0, steps_between=30,
     rec = metrics.TraceRecorder(metrics.Phase.UNLOADING)
     control = None if vsl is None else vsl.controller(ring.params.v0)
     k = 0
-    while ring.n > stop_at:
+    while ring.n > UNLOAD_STOP_AT:
         ring = remove_vehicles(ring, 1, removal_seed + k)
         k += 1
-        ring, report = rollout(ring, steps_between, control, rec.record)
+        ring, report = rollout(ring, UNLOAD_STEPS_BETWEEN, control,
+                               rec.record)
         if report is not None:
             break
     return rec.finish()

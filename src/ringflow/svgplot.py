@@ -14,11 +14,11 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
-def _nice_ticks(lo, hi, n=6):
+def _nice_ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    raw = span / 5  # about six ticks
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         if raw <= mult * mag:
@@ -177,13 +177,10 @@ def fundamental_diagram_chart(traces, title="Fundamental diagram"):
     return chart
 
 
-def time_series_chart(trace, field="flow", dt=0.1, title=""):
-    ys = getattr(trace, field)
-    xs = trace.steps * dt
-    label = {"flow": "flow (veh/h)", "mean_speed": "mean speed (m/s)",
-             "density": "density (veh/km)"}[field]
-    chart = Chart(title or label, "time (s)", label)
-    chart.line(xs, ys, label=field)
+def mean_speed_chart(trace, dt, title):
+    """The mean speed of an FdTrace over time, its steps taken ``dt`` apart."""
+    chart = Chart(title, "time (s)", "mean speed (m/s)")
+    chart.line(trace.steps * dt, trace.mean_speed, label="mean_speed")
     return chart
 
 

@@ -20,6 +20,7 @@ from ringflow import (
     unload_incrementally,
 )
 from ringflow import ring as ringmod
+from ringflow import scenario
 
 from conftest import equilibrium_speed, make_ring
 
@@ -126,9 +127,11 @@ def test_limit_refresh_period_runs_across_removals(monkeypatch):
         return real_step(r, cav_accel, v_desired)
 
     monkeypatch.setattr(ringmod, "step", spy)
+    monkeypatch.setattr(scenario, "UNLOAD_STEPS_BETWEEN", 5)
+    monkeypatch.setattr(scenario, "UNLOAD_STOP_AT", 8)
     # 4 removals of 5 steps each: the limit is evaluated before steps 0, 7
     # and 14 of the unloading, not at every removal
-    unload_incrementally(ring, steps_between=5, stop_at=8, vsl=policy)
+    unload_incrementally(ring, vsl=policy)
     assert len(calls) == 20
     limits = [limit for _, limit in calls]
     for i, limit in enumerate(limits):

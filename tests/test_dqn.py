@@ -317,6 +317,20 @@ def test_broadcast_reaches_every_commanded_vehicle():
     np.testing.assert_array_equal(r._a[r._cav], ACTION_ACCELS[0])
 
 
+@pytest.mark.parametrize("action", [-1, 3, 1.0, "0", None, np.float64(2.0)])
+def test_step_rejects_an_action_outside_the_action_range(action):
+    # a 3-CAV ring: a negative index would wrap to the last action and
+    # broadcast +1 m/s^2 to every CAV
+    ring = make_ring([0.0, 300.0, 600.0], [10.0] * 3, cavs=[True] * 3)
+    env = RingEnv(EnvSpec(snapshot=ring, success_flow_threshold=1e9))
+    env.reset()
+    with pytest.raises(ValueError, match=r"is not an integer in \[0, 3\)"):
+        env.step(action)
+    assert env.ring.step_count == 0
+    env.step(np.int64(2))  # numpy integers index as ints do
+    np.testing.assert_array_equal(env.ring._a, ACTION_ACCELS[2])
+
+
 # ---------------------------------------------------------------- training
 
 

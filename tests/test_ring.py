@@ -46,6 +46,32 @@ def test_gap_degenerate_overlap_is_negative_length():
     np.testing.assert_allclose(r._gaps(), [-5.0, -5.0])
 
 
+def test_a_lone_vehicle_leads_itself_a_whole_loop_ahead(monkeypatch):
+    r = make_ring([120.0], [10.0], length=300.0)
+    gaps = r._gaps()
+    assert gaps.tolist() == [300.0 - 5.0]
+    assert r._gaps() is gaps
+    with pytest.raises(ValueError, match="read-only"):
+        gaps[0] = 1.0
+    r2, report = ringmod.step(r)
+    assert report is None
+    # the step's collision test left the new gaps memoized, and the next
+    # step hands exactly that array to the IDM
+    memo_pos, memo = r2._gap_memo
+    assert memo_pos is r2._pos and r2._gaps() is memo
+    assert memo.tolist() == [295.0] and not memo.flags.writeable
+    seen = []
+    real_idm = ringmod.idm_acceleration_vec
+
+    def spy(v, leader_v, gap, params, v_desired=None):
+        seen.append(gap)
+        return real_idm(v, leader_v, gap, params, v_desired=v_desired)
+
+    monkeypatch.setattr(ringmod, "idm_acceleration_vec", spy)
+    ringmod.step(r2)
+    assert len(seen) == 1 and seen[0] is memo
+
+
 # ---------------------------------------------------------------- step
 
 
@@ -56,6 +82,16 @@ def test_single_vehicle_free_road_advance():
     a = r2._a[0]
     assert r2._pos[0] == pytest.approx(10.0 * 0.1 + 0.5 * a * 0.01)
     assert a > 0.9  # nearly free-road maximum at 10 m/s
+
+
+@pytest.mark.parametrize("length", [4.0, 5.0])
+def test_a_lone_vehicle_no_shorter_than_its_loop_collides_with_itself(length):
+    r = make_ring([1.0], [0.0], length=length)
+    with np.errstate(divide="ignore"):  # the IDM divides by a gap of 0.0
+        r2, report = ringmod.step(r)
+    assert report == CollisionReport(step=1, follower_id=0, leader_id=0,
+                                     gap=length - 5.0)
+    assert r2.terminal
 
 
 def test_equilibrium_spacing_is_a_one_step_fixed_point():
@@ -210,6 +246,19 @@ def test_remove_zero_is_identity():
     r2 = remove_vehicles(r, 0, 0)
     assert r2.n == 3
     np.testing.assert_array_equal(r2.positions, r.positions)
+
+
+def test_removing_no_vehicle_keeps_every_column():
+    r = make_ring([0.0, 100.0, 200.0], [5.0, -0.0, 7.5],
+                  cavs=[False, True, False])
+    r, _ = ringmod.step(r, cav_accel=1.0)
+    for seed in (0, 9):
+        r2 = remove_vehicles(r, 0, seed)
+        assert r2 is not r and r2.n == r.n
+        for name, dtype in ringmod._COLUMNS:
+            a, b = getattr(r, name), getattr(r2, name)
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_random_removal_counts():
@@ -383,6 +432,33 @@ def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
     edit(doc)
     with pytest.raises(ValueError):
         snapshot_from_json(json.dumps(doc))
+
+
+def _round_trip(ring):
+    return snapshot_from_json(snapshot_to_json(ring))
+
+
+@pytest.mark.parametrize("positions, length", [
+    ([10.0, 12.0, 60.0], 100.0),  # gaps [-3, 43, 45]
+    ([10.0, 10.0, 60.0], 100.0),  # the same position: a gap of -5
+    ([1.0], 4.0),  # a lone vehicle longer than its loop
+], ids=["overlap", "same-position", "lone-longer-than-loop"])
+def test_snapshot_rejects_overlapping_vehicles(positions, length):
+    r = make_ring(positions, [5.0] * len(positions), length=length)
+    assert not r.terminal and (r._gaps() <= 0.0).any()
+    with pytest.raises(ValueError, match="overlap"):
+        _round_trip(r)
+
+
+def test_a_collided_snapshot_with_overlapping_vehicles_loads():
+    r = make_ring([10.0, 12.0, 60.0], [5.0] * 3, length=100.0)
+    r2, report = ringmod.step(r)
+    assert report is not None and r2.terminal
+    loaded = _round_trip(r2)
+    assert loaded.terminal
+    for name, _ in ringmod._COLUMNS:
+        assert getattr(loaded, name).tobytes() == getattr(r2, name).tobytes()
+    assert loaded._gaps().tobytes() == r2._gaps().tobytes()
 
 
 def test_snapshot_rejects_garbage():

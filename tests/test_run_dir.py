@@ -53,8 +53,8 @@ def _rebuilt_outputs(config, checkpoint, ev, cmp):
         [built.loading_trace.decimate(10), trace],
         "Controlled rollout vs loading branch",
     ).write(ev / "fd_overlay.svg")
-    svgplot.time_series_chart(trace, "mean_speed", config.dt,
-                              "Mean speed under control").write(
+    svgplot.mean_speed_chart(trace, config.dt,
+                             "Mean speed under control").write(
         ev / "speed_series.svg")
     svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
         ev / "trajectories.svg")
@@ -170,4 +170,20 @@ def test_cli_a_malformed_run_is_a_usage_error(trained_run, tmp_path, capsys,
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_evaluate_rejects_a_run_whose_snapshot_overlaps(trained_run,
+                                                           tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run[1], run)
+    doc = json.loads((run / "snapshot.json").read_text())
+    assert not doc["terminal"]
+    # the second vehicle on the first one's spot keeps the ring order
+    doc["vehicles"][1]["position"] = doc["vehicles"][0]["position"]
+    (run / "snapshot.json").write_text(json.dumps(doc))
+    code = cli_main(["evaluate", "--run", str(run),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "overlap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -22,7 +22,7 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow.dqn import ACTION_ACCELS, EnvSpec, RingEnv
 
-from conftest import rings
+from conftest import make_ring, rings
 
 P = IdmParams()
 STEPS = 8
@@ -154,6 +154,32 @@ def test_a_change_between_steps_leaves_no_stale_gaps(change, ring, first,
     assume(report is None)
     changed = CHANGES[change](ring)
     step_matching_reference(changed, *second)
+
+
+# rings of 0, 1 and 2 vehicles, which the random rings draw only by
+# chance: (positions, speeds, CAV marks, loop length)
+SMALL_RINGS = {
+    "empty": ([], [], [], 100.0),
+    "lone-human": ([40.0], [12.0], [False], 300.0),
+    "lone-cav": ([40.0], [-0.0], [True], 300.0),
+    "lone-short-loop": ([3.0], [30.0], [False], 5.5),
+    "two-humans": ([10.0, 60.0], [25.0, 2.0], [False, False], 400.0),
+    "two-wrapping": ([395.0, 8.0], [14.0, 14.0], [True, False], 400.0),
+    "two-colliding": ([0.0, 6.0], [30.0, 0.0], [True, False], 1000.0),
+}
+
+
+@pytest.mark.parametrize("command", [(0.0, None), (1.0, 12.5), (-1.0, None)])
+@pytest.mark.parametrize("name", sorted(SMALL_RINGS))
+def test_rings_of_up_to_two_vehicles_match_the_reference(name, command):
+    positions, speeds, cavs, length = SMALL_RINGS[name]
+    ring = make_ring(positions, speeds, cavs, length=length)
+    for _ in range(STEPS):
+        out, report = step_matching_reference(ring, *command)
+        assert_step_invariants(ring, out, report)
+        if report is not None:
+            break
+        ring = out
 
 
 def test_clip_keeps_a_speed_of_negative_zero():
