@@ -32,11 +32,12 @@ def greedy_map(net, v0):
     return "".join("-0+"[select_action(net, v / v0)] for v in PROBE_SPEEDS)
 
 
-def rollout_line(trace, plateau):
+def rollout_line(trace, report, plateau):
     """The greedy rollout's line: its steady speed against the plateau, or,
-    for a rollout that ended before ``EVAL_STEPS`` (it collided), the step
-    of the crash, since the speeds before a crash are no steady state."""
-    if len(trace) < EVAL_STEPS:
+    for a rollout that collided (``report`` is its collision report), the
+    step of the crash, since the speeds before a crash are no steady
+    state."""
+    if report is not None:
         return (f"greedy rollout: collided at step {len(trace)} (not steady), "
                 f"all-human plateau {plateau:.2f} m/s")
     return (f"greedy rollout: {len(trace)} steps, steady mean speed "
@@ -65,8 +66,8 @@ def main():
           f"{greedy_map(result.network, c.idm.v0)}")
 
     plateau = idm_plateau_speed(built.env_spec)
-    trace, _ = evaluate(result.network, built.env_spec, EVAL_STEPS)
-    print(rollout_line(trace, plateau))
+    trace, report = evaluate(result.network, built.env_spec, EVAL_STEPS)
+    print(rollout_line(trace, report, plateau))
     print(
         "note: with a single scalar state and uniform replay, the value "
         "function settles into an optimistic fixed point and the greedy "

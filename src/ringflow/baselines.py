@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dqn, metrics, ring as ringmod
+from . import dqn, metrics, net as qnet, ring as ringmod
 
 PEAK_WINDOW = 100
 PEAK_FRACTION = 0.99
@@ -38,8 +38,7 @@ class VslPolicy:
     period_steps: int = 600  # 60 simulated seconds at dt = 0.1
 
     def __post_init__(self):
-        if self.period_steps < 1:
-            raise ValueError("period_steps must be >= 1")
+        qnet.check_count("period_steps", self.period_steps, 1)
         thresholds = [r.min_mean_speed for r in self.rules]
         if not all(map(math.isfinite, thresholds)):
             raise ValueError("rule thresholds must be finite")
@@ -101,20 +100,14 @@ def run_idm_recovery(snapshot, steps, phase=metrics.Phase.UNLOADING):
 def run_vsl(snapshot, policy, steps):
     """All-human run with the active speed limit capping IDM desired speed.
 
-    Returns ``(FdTrace, per-step active limit array)``.
+    Returns ``(FdTrace, CollisionReport | None)``: the trace and the report
+    of the collision that ended the run early, if one did.
     """
     ring = ringmod.revert_to_human(snapshot)
     rec = metrics.TraceRecorder(metrics.Phase.UNLOADING)
-    control = policy.controller(ring.params.v0)
-    limits = []
-
-    def limited(t, r):
-        cav_accel, limit = control(t, r)
-        limits.append(limit)
-        return cav_accel, limit
-
-    ringmod.rollout(ring, steps, limited, rec.record)
-    return rec.finish(), np.array(limits, dtype=np.float64)
+    _, report = ringmod.rollout(ring, steps, policy.controller(ring.params.v0),
+                                rec.record)
+    return rec.finish(), report
 
 
 def _smoothed(x, window):

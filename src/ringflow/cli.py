@@ -141,8 +141,8 @@ def cmd_train(args):
 def cmd_evaluate(args):
     config, policy, env_spec, loading = _read_run(args.run)
     out = _out_dir(args)
-    trace, traj = dqn.evaluate(policy, env_spec, args.steps,
-                               record_trajectory=True)
+    traj = ring.TrajectoryRecorder()
+    trace, _ = dqn.evaluate(policy, env_spec, args.steps, traj.record)
     trace.write(os.path.join(out, "evaluation_trace.csv"))
     traj.write(os.path.join(out, "trajectory.csv"))
     svgplot.fundamental_diagram_chart(

@@ -14,7 +14,7 @@ from functools import reduce
 from .baselines import VslPolicy, VslRule, default_vsl_policy
 from .dqn import DdqnConfig, RewardConfig, check_episode_bounds
 from .idm import IdmParams
-from .net import MlpSpec
+from .net import MlpSpec, check_count
 from .ring import FormationStrategy, RingState, check_capacity
 
 
@@ -41,14 +41,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         RingState(self.length, self.dt, self.idm)  # checks length and dt
-        if self.load_target < 1:
-            raise ValueError("load_target must be >= 1")
+        check_count("load_target", self.load_target, 1)
         check_capacity(self.length, self.idm, self.load_target)
-        if min(self.removal_schedule, default=0) < 0:
-            raise ValueError("removal counts must be >= 0")
+        for count in self.removal_schedule:
+            check_count("a removal count", count, 0)
         for name in ("removal_seed", "cav_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            check_count(name, getattr(self, name), 0)
         check_episode_bounds(self.max_episode_steps, self.speed_jitter)
 
 

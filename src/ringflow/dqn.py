@@ -63,8 +63,7 @@ class EpsilonSchedule:
     def __post_init__(self):
         if not (0.0 <= self.start <= 1.0 and 0.0 <= self.end <= 1.0):
             raise ValueError("epsilon start and end must be in [0, 1]")
-        if self.decay_steps < 0:
-            raise ValueError("epsilon decay_steps must be >= 0")
+        qnet.check_count("epsilon decay_steps", self.decay_steps, 0)
 
 
 def epsilon_at(schedule, step):
@@ -126,8 +125,7 @@ class EnvSpec:
 
 def check_episode_bounds(max_episode_steps, speed_jitter):
     """Bounds shared by EnvSpec and the ScenarioConfig that builds it."""
-    if max_episode_steps < 1:
-        raise ValueError("max_episode_steps must be >= 1")
+    qnet.check_count("max_episode_steps", max_episode_steps, 1)
     if not 0.0 <= speed_jitter < math.inf:
         raise ValueError("speed_jitter must be finite and >= 0")
 
@@ -143,7 +141,9 @@ class EnvTerminatedError(RuntimeError):
 
 
 class RingEnv:
-    """step/reset adapter exposing the ring as a 1-state, 3-action MDP."""
+    """step/reset adapter exposing the ring as a 1-state, 3-action MDP; an
+    episode truncates on the ring's clock, ``max_episode_steps`` steps past
+    the snapshot's ``step_count``."""
 
     n_actions = len(ACTION_ACCELS)
     state_dim = 1
@@ -153,7 +153,6 @@ class RingEnv:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.ring = None
         self._done = True
-        self._steps = 0
         self._succeeded = False
 
     def reset(self):
@@ -165,7 +164,6 @@ class RingEnv:
                 self.ring._v * factors, 0.0, self.ring.params.v0
             )
         self._done = False
-        self._steps = 0
         self._succeeded = False
         return observation(self.ring)
 
@@ -187,7 +185,6 @@ class RingEnv:
                              f"[0, {self.n_actions})")
         accel = ACTION_ACCELS[i]
         self.ring, report = ringmod.step(self.ring, cav_accel=accel)
-        self._steps += 1
 
         _, flow, mean_speed = metrics.measure(self.ring)
         reward = mean_speed
@@ -207,7 +204,8 @@ class RingEnv:
             reward += rc.success_bonus
             if rc.success_terminates:
                 self._done = True
-        if not self._done and self._steps >= self.spec.max_episode_steps:
+        steps = self.ring.step_count - self.spec.snapshot.step_count
+        if not self._done and steps >= self.spec.max_episode_steps:
             self._done = True
             truncated = True
         info = {
@@ -255,15 +253,13 @@ class DdqnConfig:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
         for name, least in _DDQN_COUNT_MINIMA:
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+            qnet.check_count(name, getattr(self, name), least)
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size exceeds replay capacity")
 
 
 @dataclass
 class EpisodeRecord:
-    episode: int
     steps: int
     cumulative_reward: float
     collided: bool
@@ -283,9 +279,9 @@ class TrainResult:
     def write_reward_trace(self, path):
         with open(path, "w") as f:
             f.write("episode,steps,cumulative_reward,collided,succeeded\n")
-            for e in self.episodes:
+            for i, e in enumerate(self.episodes):
                 f.write(
-                    f"{e.episode},{e.steps},{e.cumulative_reward:.9g},"
+                    f"{i},{e.steps},{e.cumulative_reward:.9g},"
                     f"{int(e.collided)},{int(e.succeeded)}\n"
                 )
 
@@ -324,7 +320,7 @@ def train(env, config, spec):
 
     records = []
     global_step = 0
-    for ep in range(config.episodes):
+    for _ in range(config.episodes):
         if global_step >= config.total_train_steps:
             break
         s = env.reset()
@@ -368,7 +364,7 @@ def train(env, config, spec):
             if global_step % config.target_sync_period == 0:
                 target.copy_from(online)
         records.append(
-            EpisodeRecord(ep, steps=steps, cumulative_reward=total,
+            EpisodeRecord(steps=steps, cumulative_reward=total,
                           collided=collided, succeeded=succeeded)
         )
     return TrainResult(network=online, adam=adam, episodes=records,
@@ -385,20 +381,21 @@ def greedy_controller(policy):
     return control
 
 
-def evaluate(policy, env_spec, steps, record_trajectory=False):
+def evaluate(policy, env_spec, steps, observe=None):
     """Greedy rollout of a trained policy for a fixed number of steps.
 
-    Returns ``(FdTrace, TrajectoryRecorder | None)``.  A collision ends the
-    rollout early (the ring is physically terminal); success does not.
+    Returns ``(FdTrace, CollisionReport | None)``: a collision ends the
+    rollout early (the ring is physically terminal) and is reported;
+    success does not end it.  ``observe(ring)`` sees every ring the trace
+    records.
     """
     rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
-    traj = ringmod.TrajectoryRecorder() if record_trajectory else None
-
-    def observe(ring):
-        rec.record(ring)
-        if traj is not None:
-            traj.record(ring)
-
-    ringmod.rollout(env_spec.snapshot, steps, greedy_controller(policy),
-                    observe)
-    return rec.finish(), traj
+    if observe is None:
+        record = rec.record
+    else:
+        def record(ring):
+            rec.record(ring)
+            observe(ring)
+    _, report = ringmod.rollout(env_spec.snapshot, steps,
+                                greedy_controller(policy), record)
+    return rec.finish(), report

@@ -7,6 +7,7 @@ threshold) is applied to the selected action's output only.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -20,6 +21,16 @@ class CheckpointError(ValueError):
     pass
 
 
+def check_count(name, value, least):
+    """``ValueError`` unless ``value`` is an int of at least ``least``: the
+    check of every count setting.  Numpy integers pass; bools and fractions
+    do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be >= {least} and an int, "
+                         f"not {value!r}")
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     input_dim: int = 1
@@ -27,9 +38,8 @@ class MlpSpec:
     output_dim: int = 3
 
     def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise ValueError("all layer dims must be >= 1")
+        for d in (self.input_dim, *self.hidden_dims, self.output_dim):
+            check_count("a layer dim", d, 1)
 
     @property
     def layer_dims(self):
@@ -256,8 +266,7 @@ class LrSchedule:
     def __post_init__(self):
         if not (0.0 <= self.base < math.inf and 0.0 <= self.final < math.inf):
             raise ValueError("lr base and final must be finite and >= 0")
-        if self.total_steps < 0:
-            raise ValueError("lr total_steps must be >= 0")
+        check_count("lr total_steps", self.total_steps, 0)
 
 
 def linear_decay(start, end, steps, step):

@@ -93,11 +93,17 @@ def unload_incrementally(ring, removal_seed=0, vsl=None):
     """Random single-vehicle departures (the k-th drawn with seed
     ``removal_seed + k``), each followed by ``UNLOAD_STEPS_BETWEEN`` steps,
     until ``UNLOAD_STOP_AT`` vehicles remain; returns the unloading FdTrace.
+    A ring of ``UNLOAD_STOP_AT`` vehicles or fewer has nothing to unload
+    and is a ``ValueError``.
 
     When a speed-limit ``vsl`` policy is given, the active limit caps the
     desired speed of every driver, refreshed by the policy's rule over the
     whole unloading.
     """
+    if ring.n <= UNLOAD_STOP_AT:
+        raise ValueError(f"nothing to unload: the ring holds {ring.n} "
+                         f"vehicles and the unloading stops at "
+                         f"{UNLOAD_STOP_AT}")
     rec = metrics.TraceRecorder(metrics.Phase.UNLOADING)
     control = None if vsl is None else vsl.controller(ring.params.v0)
     k = 0

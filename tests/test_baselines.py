@@ -34,6 +34,20 @@ def _equilibrium_ring(n=20, cav_every=3):
                      cavs=cavs, params=p), v_eq
 
 
+def _applied_limits(monkeypatch):
+    """The speed limit each ``ring.step`` is given, in step order, from a
+    spy on ``ring.step``."""
+    limits = []
+    real_step = ringmod.step
+
+    def spy(r, cav_accel=0.0, v_desired=None):
+        limits.append(v_desired)
+        return real_step(r, cav_accel, v_desired)
+
+    monkeypatch.setattr(ringmod, "step", spy)
+    return limits
+
+
 def _coast_policy():
     """Network whose greedy action is always index 1 (zero acceleration)."""
     net = init_network(MlpSpec(1, (), 3), seed=0)
@@ -86,22 +100,33 @@ def test_recovery_reverts_commanded_vehicles():
     assert trace.mean_speed[-1] == pytest.approx(v_eq, abs=1e-6)
 
 
-def test_empty_rule_table_matches_plain_recovery():
+def test_empty_rule_table_matches_plain_recovery(monkeypatch):
     ring, _ = _equilibrium_ring()
     plain = run_idm_recovery(ring, steps=200)
-    limited, limits = run_vsl(ring, VslPolicy(), steps=200)
+    limits = _applied_limits(monkeypatch)
+    limited, _ = run_vsl(ring, VslPolicy(), steps=200)
     np.testing.assert_array_equal(plain.flow, limited.flow)
     np.testing.assert_array_equal(plain.mean_speed, limited.mean_speed)
-    assert (limits == 30.0).all()
+    assert len(limits) == 200
+    assert all(limit == 30.0 for limit in limits)
 
 
-def test_active_limit_caps_speeds():
+def test_active_limit_caps_speeds(monkeypatch):
     ring, v_eq = _equilibrium_ring()
     assert v_eq > 10.0
     policy = VslPolicy(rules=(VslRule(0.0, 10.0),))
-    trace, limits = run_vsl(ring, policy, steps=600)
-    assert (limits == 10.0).all()
+    limits = _applied_limits(monkeypatch)
+    trace, _ = run_vsl(ring, policy, steps=600)
+    assert len(limits) == 600
+    assert all(limit == 10.0 for limit in limits)
     assert trace.mean_speed[-1] < 10.5
+
+
+def test_run_vsl_reports_no_collision_for_a_run_that_has_none():
+    ring, _ = _equilibrium_ring()
+    trace, report = run_vsl(ring, default_vsl_policy(), steps=300)
+    assert report is None
+    assert len(trace) == 300
 
 
 def test_run_vsl_rejects_a_limit_the_idm_cannot_take():

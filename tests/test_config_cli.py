@@ -3,10 +3,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from ringflow import ConfigError, ScenarioConfig, apply_profile, preset
-from ringflow import baselines, scenario
+from ringflow import baselines, config as config_mod, scenario
 from ringflow import ring as ringmod
 from ringflow.cli import _load_config, build_parser, main as cli_main
 from ringflow.config import (
@@ -173,6 +174,49 @@ def test_out_of_range_values_are_rejected_at_load(tmp_path, key, value):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"{key} = {value}\n")
     assert cli_main(["compare", "--config", str(cfgfile)]) == 1
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Every count setting: the keys whose default is an int or a tuple of ints.
+_COUNT_KEYS = [
+    key for key, path in config_mod._KEYS.items()
+    if _is_int(value := config_mod._get(config_mod._DEFAULTS, path))
+    or (isinstance(value, tuple) and value and all(map(_is_int, value)))
+]
+
+
+def test_count_keys_cover_every_int_setting():
+    assert {"scenario.load_target", "scenario.removal_schedule",
+            "scenario.removal_seed", "scenario.cav_count",
+            "scenario.max_episode_steps", "ddqn.batch_size", "ddqn.seed",
+            "ddqn.epsilon.decay_steps", "ddqn.lr.total_steps",
+            "net.hidden_dims", "vsl.period_steps"} <= set(_COUNT_KEYS)
+
+
+def _count_update(key, value):
+    """``{path: value}`` for count key ``key``; a tuple key takes
+    ``value`` as its one item."""
+    path = config_mod._KEYS[key]
+    tuple_key = isinstance(config_mod._get(config_mod._DEFAULTS, path), tuple)
+    return {path: (value,) if tuple_key else value}
+
+
+@pytest.mark.parametrize("key", _COUNT_KEYS)
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_count_settings_reject_bools_and_fractions(key, bad):
+    with pytest.raises(ValueError, match="int"):
+        config_mod._with(ScenarioConfig(), _count_update(key, bad))
+
+
+def test_count_settings_take_numpy_integers():
+    updates = {}
+    for key in _COUNT_KEYS:
+        updates.update(_count_update(key, np.int64(3)))
+    c = config_mod._with(ScenarioConfig(), updates)
+    assert c.load_target == 3 and c.net_spec.hidden_dims == (3,)
 
 
 def test_unknown_key_fails_fast():
@@ -372,6 +416,20 @@ def test_cli_hysteresis_stalled_loading_fails_before_out(tmp_path, capsys,
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert "loading stalled at 1/2 vehicles" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_hysteresis_with_nothing_to_unload_fails_before_out(tmp_path,
+                                                                capsys):
+    # two vehicles load, and the unloading stops at two: an unloading
+    # trace of no rows would be written, which FdTrace.read rejects
+    cfgfile = tmp_path / "two.cfg"
+    cfgfile.write_text("sim.length = 250.0\nscenario.load_target = 2\n")
+    code = cli_main(["hysteresis", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert ("nothing to unload: the ring holds 2 vehicles and the unloading "
+            "stops at 2") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -13,12 +13,14 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ringflow import MlpSpec, init_network, select_action
+from ringflow.ring import CollisionReport
 
 from conftest import trace_of
 
@@ -101,10 +103,16 @@ def test_training_demo_greedy_map_is_the_controllers_action_per_speed():
 def test_training_demo_reports_a_crashed_rollout_as_not_steady():
     demo = _demo_module("training_demo")
     crashed = trace_of([(17.0, 480.0)] * 78)  # 7.84 m/s for 78 steps
-    assert demo.rollout_line(crashed, 7.52) == (
+    report = CollisionReport(step=78, follower_id=3, leader_id=4, gap=-0.1)
+    assert demo.rollout_line(crashed, report, 7.52) == (
         "greedy rollout: collided at step 78 (not steady), all-human "
         "plateau 7.52 m/s")
     full = trace_of([(17.0, 0.0)] * 2400 + [(17.0, 612.0)] * 600)
-    assert demo.rollout_line(full, 7.52) == (
+    assert demo.rollout_line(full, None, 7.52) == (
         "greedy rollout: 3000 steps, steady mean speed 10.00 m/s vs "
         "all-human plateau 7.52 m/s")
+    # a collision on the last step of the rollout is a collision too
+    last = replace(report, step=demo.EVAL_STEPS)
+    assert demo.rollout_line(full, last, 7.52) == (
+        "greedy rollout: collided at step 3000 (not steady), all-human "
+        "plateau 7.52 m/s")

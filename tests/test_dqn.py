@@ -17,10 +17,12 @@ from ringflow import (
     adam_step,
     ddqn_targets,
     epsilon_at,
+    evaluate,
     forward,
     init_network,
     loss_and_gradients,
     lr_at,
+    measure,
     select_action,
     train,
 )
@@ -278,6 +280,20 @@ def test_truncation_at_episode_cap():
     assert done and info["truncated"] and not info["collision"]
 
 
+def test_truncation_counts_steps_from_the_snapshot_clock():
+    spec, _ = _equilibrium_spec(max_episode_steps=5)
+    spec.snapshot.step_count = 120_000  # a snapshot taken mid-experiment
+    env = RingEnv(spec)
+    for _ in range(2):  # the second episode restarts the count
+        env.reset()
+        for _ in range(4):
+            _, _, done, info = env.step(1)
+            assert not done and not info["truncated"]
+        _, _, done, info = env.step(1)
+        assert done and info["truncated"]
+        assert env.ring.step_count == 120_005
+
+
 def test_scripted_episode_reward_accounting():
     spec, _ = _equilibrium_spec(max_episode_steps=50)
     env = RingEnv(spec)
@@ -329,6 +345,43 @@ def test_step_rejects_an_action_outside_the_action_range(action):
     assert env.ring.step_count == 0
     env.step(np.int64(2))  # numpy integers index as ints do
     np.testing.assert_array_equal(env.ring._a, ACTION_ACCELS[2])
+
+
+def _constant_policy(action):
+    """A network whose greedy action is always ``action``."""
+    net = init_network(MlpSpec(1, (), 3), seed=0)
+    net.weights[0][:] = 0.0
+    net.biases[0][:] = np.eye(3)[action]
+    return net
+
+
+def test_evaluate_returns_the_collision_that_ended_the_rollout():
+    # a CAV accelerating into a standing car 34 m ahead
+    ring = make_ring([0.0, 40.0], [5.0, 0.0], cavs=[True, False],
+                     length=250.0)
+    spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
+    trace, report = evaluate(_constant_policy(2), spec, 2000)
+    assert report is not None
+    assert 0 < len(trace) < 2000
+    assert report.step == trace.steps[-1]
+    assert (report.follower_id, report.leader_id) == (0, 1)
+
+
+def test_evaluate_reports_nothing_when_the_rollout_runs_its_course():
+    spec, _ = _equilibrium_spec()
+    trace, report = evaluate(_constant_policy(1), spec, 300)
+    assert report is None
+    assert len(trace) == 300
+
+
+def test_evaluate_observer_sees_the_rings_the_trace_records():
+    spec, _ = _equilibrium_spec()
+    seen = []
+    trace, _ = evaluate(_constant_policy(0), spec, 50, seen.append)
+    alone, _ = evaluate(_constant_policy(0), spec, 50)
+    assert [r.step_count for r in seen] == trace.steps.tolist()
+    assert [measure(r)[1] for r in seen] == trace.flow.tolist()
+    assert trace.flow.tobytes() == alone.flow.tobytes()
 
 
 # ---------------------------------------------------------------- training
@@ -532,8 +585,8 @@ def test_train_equals_the_separate_pass_loop_bit_for_bit():
     assert result.adam.m.tobytes() == adam.m.tobytes()
     assert result.adam.v.tobytes() == adam.v.tobytes()
     assert result.adam.t == adam.t == 400 - 40 + 1
-    assert [(e.episode, e.steps, e.cumulative_reward.hex())
-            for e in result.episodes] == records
+    assert [(i, e.steps, e.cumulative_reward.hex())
+            for i, e in enumerate(result.episodes)] == records
     # episodes end both in the terminal transition and by truncation
     assert {steps == 20 for _, steps, _ in records} == {True, False}
 

@@ -1,5 +1,6 @@
 """What importing the package costs: numpy, and no scipy; and no module
-imports a name it never uses, or imports inside a function."""
+imports a name it never uses, or imports inside a function, and no public
+function takes a flag parameter."""
 
 import ast
 import os
@@ -113,3 +114,32 @@ def test_simulator_kernels_take_no_float_literal_operand():
         "def f(disp, v, k):\n    np.maximum(disp, 0.0, out=disp)\n"
         "    w = 0.5 * v\n    x = v.clip(-1.0, k)\n    y = k * 2 + (v <= 0.0)\n"
         "    np.copyto(v, k, where=v > 0.0)\n").body[0]) == [2, 3, 4]
+
+
+def _flag_parameters(source):
+    """The public functions and methods that take a parameter whose default
+    is a bool: a flag that makes one function two.  Private helpers
+    (``_name``) are exempt; ``__init__`` and the other dunders are not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("_") and not node.name.endswith("__"):
+            continue
+        defaults = node.args.defaults + node.args.kw_defaults
+        if any(isinstance(d, ast.Constant) and isinstance(d.value, bool)
+               for d in defaults):
+            found.append(f"{node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_public_function_takes_a_flag_parameter():
+    package = Path(ringflow.__file__).resolve().parent
+    flags = {path.name: _flag_parameters(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in flags.items() if found} == {}
+    assert _flag_parameters(
+        "def f(a, b=False):\n    pass\ndef _g(x=True):\n    pass\n"
+        "class C:\n    def m(self, *, k=True, j=None):\n        pass\n"
+        "    def __init__(self, z=False, n=0):\n        pass\n") == \
+        ["__init__ (line 8)", "f (line 1)", "m (line 6)"]

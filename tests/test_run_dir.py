@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from ringflow import baselines, dqn, scenario, svgplot
+from ringflow import baselines, dqn, ring, scenario, svgplot
 from ringflow.cli import _summary_row, main as cli_main
 from ringflow.config import config_from_kv, load_config, parse_kv
 from ringflow.net import load_checkpoint
@@ -45,8 +45,8 @@ def _rebuilt_outputs(config, checkpoint, ev, cmp):
     built = scenario.build_scenario(config)
     policy, _ = load_checkpoint(checkpoint, expect_spec=config.net_spec)
     ev.mkdir()
-    trace, traj = dqn.evaluate(policy, built.env_spec, 2000,
-                               record_trajectory=True)
+    traj = ring.TrajectoryRecorder()
+    trace, _ = dqn.evaluate(policy, built.env_spec, 2000, traj.record)
     trace.write(ev / "evaluation_trace.csv")
     traj.write(ev / "trajectory.csv")
     svgplot.fundamental_diagram_chart(

@@ -18,6 +18,8 @@ from ringflow import (
     steady_speed,
 )
 
+from conftest import make_ring
+
 BASE = ScenarioConfig(length=150.0, load_target=8, removal_schedule=(2,),
                       cav_count=2)
 
@@ -90,6 +92,15 @@ def test_steady_speed_is_the_mean_of_the_last_fifth(n):
                     density=np.zeros(n), flow=np.zeros(n), mean_speed=speeds)
     want = float(speeds[int(n * 0.8):].mean())
     assert steady_speed(trace) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_unloading_a_ring_with_nothing_to_unload_fails(n):
+    ring = make_ring([i * 100.0 for i in range(n)], [0.0] * n, length=250.0)
+    assert n <= scenario.UNLOAD_STOP_AT
+    with pytest.raises(ValueError, match=f"holds {n} vehicles and the "
+                                         f"unloading stops at 2"):
+        scenario.unload_incrementally(ring)
 
 
 def test_steady_speed_of_an_empty_trace_is_zero():
