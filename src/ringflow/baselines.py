@@ -135,6 +135,7 @@ class SwitchBackResult:
     snapshot: ringmod.RingState
     cav_trace: metrics.FdTrace
     reverted_trace: metrics.FdTrace
+    cav_report: ringmod.CollisionReport | None  # ended the CAV branch
 
 
 def run_switch_back(policy, env_spec, extra_steps=200):
@@ -143,6 +144,7 @@ def run_switch_back(policy, env_spec, extra_steps=200):
     reverting everyone to human driving for ``extra_steps``.
 
     Both continuation branches start from the same bit-identical snapshot.
+    ``cav_report`` is the collision that ended the CAV branch, if one did.
     A collision ends the search rollout in a state that cannot be stepped;
     when the peak falls on it, the branches start from the state before
     (the start state, ``peak_step`` -1, if the first step collides).
@@ -160,10 +162,12 @@ def run_switch_back(policy, env_spec, extra_steps=200):
         rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
         rec.record(snap)
         cav_trace = reverted_trace = rec.finish()
+        cav_report = None
     else:
-        cav_trace, _ = dqn.evaluate(policy, replace(env_spec, snapshot=snap),
-                                    extra_steps)
+        cav_trace, cav_report = dqn.evaluate(
+            policy, replace(env_spec, snapshot=snap), extra_steps)
         reverted_trace = run_idm_recovery(snap, extra_steps,
                                           phase=metrics.Phase.CONTROLLED)
     return SwitchBackResult(peak_step=peak_step, snapshot=snap,
-                            cav_trace=cav_trace, reverted_trace=reverted_trace)
+                            cav_trace=cav_trace, reverted_trace=reverted_trace,
+                            cav_report=cav_report)

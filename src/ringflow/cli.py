@@ -3,6 +3,10 @@
 ``train --out DIR`` leaves a run directory (``run.json``, ``snapshot.json``,
 ``loading_trace.csv``, ``checkpoint.bin``) that ``evaluate --run DIR`` and
 ``compare --run DIR`` read back instead of rebuilding the scenario.
+``--steps`` must be >= 1, so every trace written has a row that
+``FdTrace.read`` accepts; ``--extra-steps`` may be 0.  ``evaluate`` and
+``compare`` print ``rollout collided at step N (follower F, leader L)`` for
+a rollout that a collision ended, ``compare`` after the branch's name.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 infeasible
 result.
@@ -39,11 +43,14 @@ def _load_config(args):
     return config
 
 
-def _step_count(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _count_from(least):
+    """An argparse type: an int of at least ``least``."""
+    def count(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+    return count
 
 
 def _output_dir(path):
@@ -142,7 +149,7 @@ def cmd_evaluate(args):
     config, policy, env_spec, loading = _read_run(args.run)
     out = _out_dir(args)
     traj = ring.TrajectoryRecorder()
-    trace, _ = dqn.evaluate(policy, env_spec, args.steps, traj.record)
+    trace, report = dqn.evaluate(policy, env_spec, args.steps, traj.record)
     trace.write(os.path.join(out, "evaluation_trace.csv"))
     traj.write(os.path.join(out, "trajectory.csv"))
     svgplot.fundamental_diagram_chart(
@@ -154,12 +161,12 @@ def cmd_evaluate(args):
         os.path.join(out, "speed_series.svg"))
     svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
         os.path.join(out, "trajectories.svg"))
-    if len(trace):
-        threshold = env_spec.success_flow_threshold
-        exceeded = bool((trace.flow > threshold).any())
-        print(f"max flow {trace.flow.max():.1f} veh/h "
-              f"(threshold {threshold:.1f}, "
-              f"exceeded: {exceeded})")
+    threshold = env_spec.success_flow_threshold
+    exceeded = bool((trace.flow > threshold).any())
+    print(f"max flow {trace.flow.max():.1f} veh/h "
+          f"(threshold {threshold:.1f}, "
+          f"exceeded: {exceeded})")
+    _print_collision("", report)
     print(f"wrote evaluation outputs under {out}")
     return 0
 
@@ -172,22 +179,25 @@ def cmd_compare(args):
         env_spec = scen.build_scenario(config).env_spec
     out = _out_dir(args)
     snap = env_spec.snapshot
-    branches = {  # name -> (trace file, trace), in row and chart order
+    # name -> (trace file, trace, CollisionReport | None), in row and chart
+    # order; the all-human recoveries report none
+    branches = {
         "idm": ("idm_recovery_trace.csv",
-                baselines.run_idm_recovery(snap, args.steps)),
+                baselines.run_idm_recovery(snap, args.steps), None),
         "vsl": ("vsl_trace.csv",
-                baselines.run_vsl(snap, config.vsl, args.steps)[0]),
+                *baselines.run_vsl(snap, config.vsl, args.steps)),
     }
     if policy is not None:
         sb = baselines.run_switch_back(policy, env_spec,
                                        extra_steps=args.extra_steps)
-        branches["cav"] = ("switchback_cav_trace.csv", sb.cav_trace)
+        branches["cav"] = ("switchback_cav_trace.csv", sb.cav_trace,
+                           sb.cav_report)
         branches["reverted"] = ("switchback_reverted_trace.csv",
-                                sb.reverted_trace)
+                                sb.reverted_trace, None)
     lines = ["scenario,branch,peak_flow_veh_h,final_flow_veh_h,"
              "peak_mean_speed_mps"]
     chart = svgplot.Chart("Flow comparison", "time (s)", "flow (veh/h)")
-    for branch, (name, trace) in branches.items():
+    for branch, (name, trace, _) in branches.items():
         trace.write(os.path.join(out, name))
         lines.append(_summary_row(branch, trace))
         chart.line(trace.steps * config.dt, trace.flow, label=branch)
@@ -195,13 +205,19 @@ def cmd_compare(args):
         f.write("\n".join(lines) + "\n")
     chart.write(os.path.join(out, "comparison.svg"))
     print("\n".join(lines))
+    for branch, (_, _, report) in branches.items():
+        _print_collision(f"{branch}: ", report)
     print(f"wrote comparison outputs under {out}")
     return 0
 
 
+def _print_collision(prefix, report):
+    if report is not None:
+        print(f"{prefix}rollout collided at step {report.step} "
+              f"(follower {report.follower_id}, leader {report.leader_id})")
+
+
 def _summary_row(name, trace):
-    if len(trace) == 0:
-        return f"default,{name},0,0,0"
     return (f"default,{name},{trace.flow.max():.1f},{trace.flow[-1]:.1f},"
             f"{trace.mean_speed.max():.3f}")
 
@@ -241,7 +257,8 @@ def build_parser():
         sp.add_argument("--out", type=_output_dir, default="out",
                         help="output dir (default: out)")
         if steps_default is not None:
-            sp.add_argument("--steps", type=_step_count, default=steps_default)
+            sp.add_argument("--steps", type=_count_from(1),
+                            default=steps_default)
 
     sp = sub.add_parser("hysteresis", help="loading/unloading FD branches")
     scenario(sp)
@@ -266,7 +283,7 @@ def build_parser():
         "--run", help="output dir of train: its scenario, plus the CAV "
                       "branches")
     outputs(sp, steps_default=2000)
-    sp.add_argument("--extra-steps", type=_step_count, default=200)
+    sp.add_argument("--extra-steps", type=_count_from(0), default=200)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("mpr-calc", help="minimum CAV count from headways")

@@ -97,8 +97,6 @@ def apply_profile(config, profile):
 # -- key = value (de)serialization ---------------------------------------
 
 _DEFAULTS = ScenarioConfig()
-_BOOLS = {"true": True, "yes": True, "1": True,
-          "false": False, "no": False, "0": False}
 
 
 def _get(obj, path):
@@ -139,10 +137,6 @@ def _parse(default, text):
     if isinstance(default, VslRule):
         threshold, _, limit = text.partition(":")
         return VslRule(float(threshold), float(limit))
-    if isinstance(default, bool):
-        if text.lower() not in _BOOLS:
-            raise ValueError(f"expected a boolean, got {text!r}")
-        return _BOOLS[text.lower()]
     if isinstance(default, Enum):
         return type(default)(text.lower())
     return type(default)(text)
@@ -153,8 +147,6 @@ def _format(value):
         return ", ".join(_format(v) for v in value)
     if isinstance(value, VslRule):
         return f"{_format(value.min_mean_speed)}:{_format(value.limit)}"
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, Enum):

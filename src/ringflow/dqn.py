@@ -2,9 +2,9 @@
 
 One model observes the normalized loop-average speed and broadcasts a single
 acceleration command executed by every CAV (centralized training, centralized
-execution).  Rewards: mean speed per step, a one-shot collision penalty that
-ends the episode, and a one-shot success bonus when the instantaneous flow
-first beats the loading-phase peak.
+execution).  Rewards: mean speed per step, a collision penalty and a success
+bonus when the instantaneous flow first beats the loading-phase peak; each
+is paid once, because each ends the episode.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ def select_action(net, state):
 class RewardConfig:
     collision_penalty: float = -3000.0
     success_bonus: float = 1000.0
-    success_terminates: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.collision_penalty)
@@ -153,7 +152,6 @@ class RingEnv:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.ring = None
         self._done = True
-        self._succeeded = False
 
     def reset(self):
         self.ring = self.spec.snapshot.copy()
@@ -164,14 +162,14 @@ class RingEnv:
                 self.ring._v * factors, 0.0, self.ring.params.v0
             )
         self._done = False
-        self._succeeded = False
         return observation(self.ring)
 
     def step(self, action_index):
         """Broadcast the commanded acceleration to all CAVs for one time step.
 
         Returns ``(state, reward, done, info)``; info carries flow and the
-        collision/success/truncated flags.  An action that is not an integer
+        collision/success/truncated flags.  A collision, a success and the
+        episode cap each end the episode.  An action that is not an integer
         in ``[0, n_actions)`` is a ``ValueError``, not a wrapped index.
         """
         if self._done:
@@ -195,15 +193,10 @@ class RingEnv:
         if collided:
             reward += rc.collision_penalty
             self._done = True
-        elif (
-            not self._succeeded
-            and flow > self.spec.success_flow_threshold
-        ):
+        elif flow > self.spec.success_flow_threshold:
             success = True
-            self._succeeded = True
             reward += rc.success_bonus
-            if rc.success_terminates:
-                self._done = True
+            self._done = True
         steps = self.ring.step_count - self.spec.snapshot.step_count
         if not self._done and steps >= self.spec.max_episode_steps:
             self._done = True
@@ -293,7 +286,9 @@ def train(env, config, spec):
     ``env`` is anything with reset()/step()/n_actions and ``state_dim`` 1:
     the learner takes a scalar observation, as the replay row and
     ``select_action`` do.  Timeout (truncated) transitions are stored
-    non-terminal so the bootstrap target is unbiased.  Returns a TrainResult.
+    non-terminal so the bootstrap target is unbiased.  An episode's record
+    takes its collision and success flags from its last step, so ``env``
+    ends an episode at either.  Returns a TrainResult.
 
     Each step is epsilon-greedy: it draws ``act_rng.random()`` once, before
     any Q-value is read (``explore_action``), and computes Q(s) only on a
@@ -326,9 +321,7 @@ def train(env, config, spec):
         s = env.reset()
         done = False
         total = 0.0
-        steps = 0
-        collided = False
-        succeeded = False
+        start = global_step
         while not done and global_step < config.total_train_steps:
             eps = epsilon_at(config.epsilon, global_step)
             a = explore_action(env.n_actions, eps, act_rng)
@@ -338,9 +331,6 @@ def train(env, config, spec):
             stored_done = done and not info.get("truncated", False)
             buffer.push(s, a, r, s2, stored_done)
             total += r
-            steps += 1
-            collided = collided or info.get("collision", False)
-            succeeded = succeeded or info.get("success", False)
             s = s2
 
             if len(buffer) >= learn_from:
@@ -364,8 +354,9 @@ def train(env, config, spec):
             if global_step % config.target_sync_period == 0:
                 target.copy_from(online)
         records.append(
-            EpisodeRecord(steps=steps, cumulative_reward=total,
-                          collided=collided, succeeded=succeeded)
+            EpisodeRecord(steps=global_step - start, cumulative_reward=total,
+                          collided=info.get("collision", False),
+                          succeeded=info.get("success", False))
         )
     return TrainResult(network=online, adam=adam, episodes=records,
                        total_steps=global_step)

@@ -75,6 +75,13 @@ class RingState:
     be reused while the memo lives.  ``_length`` and ``_dt`` are ``length``
     and ``dt`` as the read-only 0-d operands of the step's ufunc calls, made
     here once and shared by copies.
+
+    One step may carry a vehicle at most one vehicle length: a follower that
+    passed its leader whole within a step would leave a positive gap, and
+    the step would not see it.  A vehicle's speed is at most ``v0`` and a
+    human's IDM acceleration at most ``a_max``, so a ring whose
+    ``v0·dt + ½·a_max·dt²`` exceeds ``vehicle_length`` is a ``ValueError``;
+    ``step`` bounds a CAV command the same way (``_cav_accel_max``).
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
@@ -85,7 +92,16 @@ class RingState:
         self.length = float(length)
         self.dt = float(dt)
         self._length, self._dt = _operand(self.length), _operand(self.dt)
-        self.params = params if params is not None else IdmParams()
+        self.params = p = params if params is not None else IdmParams()
+        travel = p.v0 * self.dt + 0.5 * p.a_max * self.dt * self.dt
+        if travel > p.vehicle_length:
+            raise ValueError(
+                f"one step's travel v0*dt + a_max*dt**2/2 = {travel!r} m "
+                f"(v0 {p.v0!r}, dt {self.dt!r}, a_max {p.a_max!r}) exceeds "
+                f"vehicle_length {p.vehicle_length!r} m: a follower could "
+                f"pass its leader unseen")
+        self._cav_accel_max = (2.0 * (p.vehicle_length - p.v0 * self.dt)
+                               / (self.dt * self.dt))
         self.step_count = 0
         self.terminal = False
         for name, dtype in _COLUMNS:
@@ -208,7 +224,10 @@ def step(ring, cav_accel=0.0, v_desired=None):
     (and their memo) and binds new positions, speeds and accelerations; the
     gaps of the collision check stay memoized on it, so the next step reuses
     them.  A ``v_desired`` that is not finite and positive, or so small that
-    ``(v0 / v_desired) ** delta`` overflows, is a ``ValueError``.
+    ``(v0 / v_desired) ** delta`` overflows, is a ``ValueError``, and so is
+    a ``cav_accel`` that would carry a CAV at ``v0`` farther than one
+    vehicle length in the step, above ``2·(vehicle_length − v0·dt)/dt²``
+    (about 400 m/s² at the defaults), when the ring has a CAV.
 
     The arithmetic is that of the first vectorized step, operation for
     operation, so the bits are too.  Leaders' entries come from ``_lead``,
@@ -238,6 +257,11 @@ def step(ring, cav_accel=0.0, v_desired=None):
     accel = idm_acceleration_vec(v, _lead(v), out._gaps(), p,
                                  v_desired=v_desired)
     if out._any_cav():
+        if cav_accel > out._cav_accel_max:
+            raise ValueError(
+                f"CAV command {cav_accel!r} m/s^2 exceeds "
+                f"{out._cav_accel_max!r}: a CAV at v0 would travel more "
+                f"than one vehicle length in a step")
         np.copyto(accel, cav_accel, where=out._cav)
 
     dt = out._dt

@@ -52,8 +52,9 @@ def trace_of(pairs, phase=Phase.LOADING):
 
 
 # With v0 <= 40 m/s, a_max <= 3 m/s^2 and dt <= 0.1 s no vehicle moves
-# farther than 4.5 m, the shortest vehicle, in one step: a step cannot see a
-# follower that passes its leader whole.
+# farther than 4.5 m, the shortest vehicle, in one step, so every drawn ring
+# passes RingState's rule that one step's travel stays within a vehicle
+# length.
 idm_params_drawn = st.just(IdmParams()) | st.builds(
     IdmParams, v0=st.floats(5.0, 40.0), T=st.floats(0.5, 3.0),
     a_max=st.floats(0.3, 3.0), b=st.floats(0.5, 4.0),
@@ -62,14 +63,15 @@ idm_params_drawn = st.just(IdmParams()) | st.builds(
 
 
 @st.composite
-def rings(draw, min_n=0):
+def rings(draw, min_n=0, params=idm_params_drawn,
+          dts=st.just(0.1) | st.floats(0.05, 0.1)):
     """A ring of 0..30 vehicles with positive gaps, speeds in [0, v0] (-0.0
     among them) and CAV marks; the wrap-around falls anywhere in the
     arrays.  The IDM parameters and the time step are the defaults or drawn
-    too, so that a step using constants of another ring or of the default
-    parameters shows."""
-    p = draw(idm_params_drawn)
-    dt = draw(st.just(0.1) | st.floats(0.05, 0.1))
+    too (from ``params`` and ``dts``), so that a step using constants of
+    another ring or of the default parameters shows."""
+    p = draw(params)
+    dt = draw(dts)
     n = draw(st.integers(min_n, 30))
     gaps = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n))
     speeds = draw(st.lists(st.floats(0.0, p.v0) | st.just(-0.0),

@@ -421,14 +421,11 @@ def test_criterion_8_switch_back(desk_training):
 
 
 def test_criterion_9_speed_harmonization_direction():
+    # the loading of criteria 6 and 7, which build_scenario keeps
     c = ScenarioConfig()
-    r = RingState(c.length, c.dt, c.idm)
-    r, _ = load_vehicles(r, c.load_target)
-    base = r.copy()
-    plain = unload_incrementally(base, removal_seed=c.removal_seed)
-    vsl = unload_incrementally(
-        r.copy(), removal_seed=c.removal_seed, vsl=c.vsl
-    )
+    r = build_scenario(c).loaded_ring
+    plain = unload_incrementally(r, removal_seed=c.removal_seed)
+    vsl = unload_incrementally(r, removal_seed=c.removal_seed, vsl=c.vsl)
     pairs = _matched_flows(plain, vsl)
     at_or_below = sum(qv <= qp for qp, qv in pairs)
     frac = at_or_below / len(pairs) if pairs else 0.0

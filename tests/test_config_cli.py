@@ -110,16 +110,20 @@ def test_a_profile_changes_only_the_keys_it_names():
 
 def test_values_parse_by_field_type():
     c = config_from_kv({"ddqn.seed": "0", "scenario.cav_count": "1",
-                        "sim.length": "250", "scenario.load_target": "17",
-                        "reward.success_terminates": "no"})
+                        "sim.length": "250", "scenario.load_target": "17"})
     assert type(c.ddqn.seed) is int and c.ddqn.seed == 0
     assert type(c.cav_count) is int and c.cav_count == 1
     assert type(c.length) is float and c.length == 250.0
-    assert c.reward.success_terminates is False
-    for key, value in (("ddqn.replay_capacity", "1e+06"),
-                       ("reward.success_terminates", "2")):
-        with pytest.raises(ConfigError):
-            config_from_kv({key: value})
+    with pytest.raises(ConfigError):
+        config_from_kv({"ddqn.replay_capacity": "1e+06"})
+
+
+def test_no_config_default_is_a_bool():
+    # the text format has no bool grammar: a bool field would read any
+    # non-empty text, "no" included, as True
+    assert not [key for key, path in config_mod._KEYS.items()
+                if isinstance(config_mod._get(config_mod._DEFAULTS, path),
+                              bool)]
 
 
 def test_vsl_period_of_zero_is_rejected_at_load(tmp_path):
@@ -220,8 +224,11 @@ def test_count_settings_take_numpy_integers():
 
 
 def test_unknown_key_fails_fast():
-    with pytest.raises(ConfigError):
-        config_from_kv({"idm.warp_drive": "1"})
+    # reward.success_terminates is retired: a success always ends the
+    # episode
+    for key in ("idm.warp_drive", "reward.success_terminates"):
+        with pytest.raises(ConfigError, match=key):
+            config_from_kv({key: "1"})
 
 
 def test_malformed_value_fails():
@@ -349,10 +356,15 @@ def test_cli_profile_is_a_train_flag(tmp_path, capsys):
 ])
 def test_cli_negative_step_counts_are_usage_errors(tmp_path, capsys,
                                                    command, flag):
-    code = cli_main([command, flag, "-5", "--run", str(tmp_path),
-                     "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
+    # a run of 0 steps would write header-only traces; 0 extra steps
+    # record the switch-back state
+    least = 0 if flag == "--extra-steps" else 1
+    for value in (-5, least - 1):
+        code = cli_main([command, flag, str(value), "--run", str(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"argument {flag}: must be >= {least}, got {value}"
+                in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

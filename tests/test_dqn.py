@@ -12,7 +12,6 @@ from ringflow import (
     LrSchedule,
     MlpSpec,
     ReplayBuffer,
-    RewardConfig,
     RingEnv,
     adam_step,
     ddqn_targets,
@@ -252,23 +251,8 @@ def test_success_bonus_and_termination():
     _, r, done, info = env.step(1)
     assert done and info["success"]
     assert r == pytest.approx(info["mean_speed"] + 1000.0)
-
-
-def test_success_can_be_non_terminating():
-    spec, v_eq = _equilibrium_spec()
-    k = spec.snapshot.n
-    low = EnvSpec(
-        snapshot=spec.snapshot,
-        success_flow_threshold=k * v_eq * 3.6 - 1.0,
-        reward=RewardConfig(success_terminates=False),
-    )
-    env = RingEnv(low)
-    env.reset()
-    _, r1, done, info = env.step(1)
-    assert not done and info["success"]
-    _, r2, done, info = env.step(1)
-    assert not done and not info["success"]  # bonus paid once
-    assert r2 == pytest.approx(info["mean_speed"])
+    with pytest.raises(EnvTerminatedError):  # the bonus is paid once
+        env.step(1)
 
 
 def test_truncation_at_episode_cap():
@@ -504,6 +488,45 @@ def test_training_is_seed_deterministic():
     assert [e.cumulative_reward for e in a.episodes] == [
         e.cumulative_reward for e in b.episodes
     ]
+
+
+class _EndingEnv:
+    """Episodes of 3 steps, each ending as the next of ``endings`` says
+    (a success, a collision or a timeout), flagged on its last step only,
+    as ``RingEnv.step`` flags them."""
+
+    n_actions = 3
+    state_dim = 1
+
+    def __init__(self, endings):
+        self._endings = iter(endings)
+
+    def reset(self):
+        self._ending, self._t = next(self._endings), 0
+        return 0.0
+
+    def step(self, a):
+        self._t += 1
+        done = self._t == 3
+        info = {key: done and key == self._ending
+                for key in ("success", "collision", "truncated")}
+        return 0.0, 1.0, done, info
+
+
+def test_train_records_how_each_episode_ended():
+    config = DdqnConfig(episodes=10, total_train_steps=11,
+                        min_buffer_before_learning=100, replay_capacity=100,
+                        epsilon=EpsilonSchedule(decay_steps=11),
+                        lr=LrSchedule(total_steps=11), seed=0)
+    env = _EndingEnv(["success", "collision", "truncated", "success"])
+    result = train(env, config, spec=MlpSpec(1, (4,), 3))
+    # total_train_steps cuts the fourth episode two steps in, before its
+    # success
+    assert [(e.steps, e.cumulative_reward, e.collided, e.succeeded)
+            for e in result.episodes] == [
+        (3, 3.0, False, True), (3, 3.0, True, False), (3, 3.0, False, False),
+        (2, 2.0, False, False)]
+    assert result.total_steps == 11
 
 
 class _ToyMdpWithExit(ToyMdp):

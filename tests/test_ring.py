@@ -20,6 +20,7 @@ from ringflow import (
     snapshot_to_json,
 )
 from ringflow import ring as ringmod
+from ringflow.config import ConfigError, config_from_kv
 
 from conftest import equilibrium_speed, make_ring
 
@@ -506,3 +507,37 @@ def test_step_rejects_a_speed_limit_the_idm_cannot_take(limit):
     out, _ = ringmod.step(ring, 0.0, 1e-75)
     assert np.isfinite(out._a).all()
     snapshot_from_json(snapshot_to_json(out))
+
+
+# ---------------------------------------------------------------- one step's travel
+
+
+def test_a_step_that_could_carry_a_follower_past_its_leader_is_rejected():
+    # dt = 0.5 s at v0 = 40 m/s: a step may carry a vehicle 20.125 m, so a
+    # CAV at 0 m (30 m/s) commanded +1 m/s^2 behind stopped CAVs at 6 m and
+    # 50 m on a 100 m loop would land at 15.125 m, past its leader at
+    # 6.125 m, with every gap positive
+    p = IdmParams(v0=40.0)
+    with pytest.raises(ValueError, match="20.125 m .*vehicle_length 5.0"):
+        RingState(100.0, 0.5, p)
+    with pytest.raises(ConfigError, match="exceeds vehicle_length"):
+        config_from_kv({"sim.dt": "0.5", "idm.v0": "40.0"})
+    doc = json.loads(snapshot_to_json(make_ring(
+        [0.0, 6.0, 50.0], [30.0, 0.0, 0.0], cavs=[True] * 3, length=100.0)))
+    snapshot_from_json(json.dumps(doc))  # loads at the default dt and v0
+    doc.update(dt=0.5, idm=dict(doc["idm"], v0=40.0))
+    with pytest.raises(ValueError, match="exceeds vehicle_length"):
+        snapshot_from_json(json.dumps(doc))
+
+
+def test_step_rejects_a_cav_command_that_could_carry_it_past_its_leader():
+    ring = make_ring([0.0, 6.0, 50.0], [30.0, 0.0, 0.0], cavs=[True] * 3,
+                     length=100.0)
+    bound = ring._cav_accel_max  # 2 (5 - 30 * 0.1) / 0.1**2
+    assert bound == pytest.approx(400.0)
+    with pytest.raises(ValueError, match="CAV command 401.0"):
+        ringmod.step(ring, 401.0)
+    out, report = ringmod.step(ring, bound)
+    assert report is not None and report.follower_id == 0  # seen, not passed
+    # a ring without CAVs takes no command, so it is not checked
+    ringmod.step(revert_to_human(ring), 401.0)

@@ -41,12 +41,14 @@ def trained_run(tmp_path_factory):
 
 def _rebuilt_outputs(config, checkpoint, ev, cmp):
     """What ``evaluate`` and ``compare`` write, computed from
-    ``build_scenario(config)`` and a checkpoint through the Python API."""
+    ``build_scenario(config)`` and a checkpoint through the Python API;
+    returns the collision reports of the evaluation and of the CAV
+    branch."""
     built = scenario.build_scenario(config)
     policy, _ = load_checkpoint(checkpoint, expect_spec=config.net_spec)
     ev.mkdir()
     traj = ring.TrajectoryRecorder()
-    trace, _ = dqn.evaluate(policy, built.env_spec, 2000, traj.record)
+    trace, report = dqn.evaluate(policy, built.env_spec, 2000, traj.record)
     trace.write(ev / "evaluation_trace.csv")
     traj.write(ev / "trajectory.csv")
     svgplot.fundamental_diagram_chart(
@@ -79,6 +81,7 @@ def _rebuilt_outputs(config, checkpoint, ev, cmp):
         chart.line(t.steps * config.dt, t.flow, label=branch)
     (cmp / "comparison.csv").write_text("\n".join(rows) + "\n")
     chart.write(cmp / "comparison.svg")
+    return report, sb.cav_report
 
 
 def _same_files(a, b):
@@ -89,7 +92,7 @@ def _same_files(a, b):
 
 
 def test_cli_train_evaluate_compare_read_the_run_back(trained_run, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, capsys):
     config_file, run = trained_run
     config = load_config(config_file)
     doc = json.loads((run / "run.json").read_text())
@@ -98,19 +101,32 @@ def test_cli_train_evaluate_compare_read_the_run_back(trained_run, tmp_path,
     built = scenario.build_scenario(config)
     assert doc["success_flow_threshold"] == \
         built.env_spec.success_flow_threshold
-    _rebuilt_outputs(config, run / "checkpoint.bin",
-                     tmp_path / "ev_ref", tmp_path / "cmp_ref")
+    report, cav_report = _rebuilt_outputs(
+        config, run / "checkpoint.bin", tmp_path / "ev_ref",
+        tmp_path / "cmp_ref")
 
     def never(config):
         raise AssertionError("build_scenario called")
 
     monkeypatch.setattr(scenario, "build_scenario", never)
+    capsys.readouterr()
     assert cli_main(["evaluate", "--run", str(run),
                      "--out", str(tmp_path / "ev")]) == 0
     assert cli_main(["compare", "--run", str(run),
                      "--out", str(tmp_path / "cmp")]) == 0
+    # this run's greedy rollouts collide, and both commands say so
+    assert report is not None and cav_report is not None
+    ev_out, cmp_out = capsys.readouterr().out.split(
+        "wrote evaluation outputs")
+    assert _collision_line(report) in ev_out
+    assert f"cav: {_collision_line(cav_report)}" in cmp_out
     _same_files(tmp_path / "ev_ref", tmp_path / "ev")
     _same_files(tmp_path / "cmp_ref", tmp_path / "cmp")
+
+
+def _collision_line(report):
+    return (f"rollout collided at step {report.step} "
+            f"(follower {report.follower_id}, leader {report.leader_id})")
 
 
 def _edit_run_json(**changes):
@@ -152,7 +168,9 @@ def _edit_config_line(old, new):
     _edit_run_json(success_flow_threshold="1799.6"),
     _edit_run_json(success_flow_threshold=1800),
     _edit_config_line("net.hidden_dims = 16, 16", "net.hidden_dims = 8"),
-    _edit_config_line("sim.dt = 0.1", "sim.dt = 0.2"),
+    # 0.15 s keeps one step's travel (4.51 m) within a vehicle length, so
+    # the config loads and the snapshot's dt of 0.1 s does not fit it
+    _edit_config_line("sim.dt = 0.1", "sim.dt = 0.15"),
     _write("snapshot.json", "{}"),
     _write("loading_trace.csv", "step,phase\n"),
 ], ids=["missing-dir", "no-run-json", "no-checkpoint", "no-snapshot",
@@ -187,3 +205,20 @@ def test_cli_evaluate_rejects_a_run_whose_snapshot_overlaps(trained_run,
     assert code == 1
     assert "overlap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_run_that_names_the_retired_success_switch(
+        trained_run, tmp_path, capsys):
+    # a run.json written before reward.success_terminates was retired names
+    # it; like any unknown key, it fails the run's config
+    run = tmp_path / "run"
+    shutil.copytree(trained_run[1], run)
+    _edit_config_line("reward.success_bonus = 1000.0\n",
+                      "reward.success_bonus = 1000.0\n"
+                      "reward.success_terminates = true\n")(run)
+    for command in ("evaluate", "compare"):
+        code = cli_main([command, "--run", str(run),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "reward.success_terminates" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -118,6 +118,30 @@ def test_steps_keep_the_invariants_and_match_the_reference(ring, cmds):
         ring = out
 
 
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(v0=st.floats(5.0, 40.0), a_max=st.floats(0.3, 3.0),
+       vehicle_length=st.floats(4.5, 10.0), dt=st.floats(0.05, 0.5),
+       data=st.data())
+def test_a_step_carries_no_follower_past_its_leader_unseen(
+        v0, a_max, vehicle_length, dt, data):
+    p = IdmParams(v0=v0, a_max=a_max, vehicle_length=vehicle_length)
+    if v0 * dt + 0.5 * a_max * dt * dt > vehicle_length:
+        with pytest.raises(ValueError, match="exceeds vehicle_length"):
+            RingState(100.0, dt, p)
+        return
+    ring = data.draw(rings(params=st.just(p), dts=st.just(dt)))
+    bound = ring._cav_accel_max
+    cav_accels = st.just(bound) | st.floats(-1.0, 1.0).map(lambda f: f * bound)
+    for _ in range(STEPS):
+        cav_accel = data.draw(cav_accels)
+        v_desired = data.draw(st.none() | st.floats(0.1, v0))
+        out, report = ringmod.step(ring, cav_accel, v_desired)
+        assert_step_invariants(ring, out, report)
+        if report is not None:
+            break
+        ring = out
+
+
 def _insert_in_largest_gap(r):
     out = r.copy()
     k = int(np.argmax(out._gaps()))
