@@ -122,8 +122,6 @@ def find_flow_peak_step(flows):
     rollout's smoothed maximum (``PEAK_WINDOW``-averaged to ignore
     single-step spikes)."""
     sm = _smoothed(np.asarray(flows, dtype=float), PEAK_WINDOW)
-    if len(sm) == 0:
-        return 0
     target = PEAK_FRACTION * sm.max()
     i = int(np.argmax(sm >= target))
     return i + (PEAK_WINDOW - 1 if len(flows) >= PEAK_WINDOW else 0)
@@ -148,26 +146,20 @@ def run_switch_back(policy, env_spec, extra_steps=200):
     A collision ends the search rollout in a state that cannot be stepped;
     when the peak falls on it, the branches start from the state before
     (the start state, ``peak_step`` -1, if the first step collides).
+    ``extra_steps`` below 1 is a ``ValueError``, raised before the search.
     """
+    qnet.check_count("extra_steps", extra_steps, 1)
     rings = []  # ``rollout`` lets an observer keep every ring it sees
-    ringmod.rollout(env_spec.snapshot, SEARCH_STEPS,
-                    dqn.greedy_controller(policy), rings.append)
-    flows = [metrics.measure(r)[1] for r in rings]
-    peak_step = find_flow_peak_step(flows)
+    search, _ = dqn.evaluate(policy, env_spec, SEARCH_STEPS, rings.append)
+    peak_step = find_flow_peak_step(search.flow)
     if rings[peak_step].terminal:
         peak_step -= 1
     snap = rings[peak_step] if peak_step >= 0 else env_spec.snapshot
 
-    if extra_steps == 0:
-        rec = metrics.TraceRecorder(metrics.Phase.CONTROLLED)
-        rec.record(snap)
-        cav_trace = reverted_trace = rec.finish()
-        cav_report = None
-    else:
-        cav_trace, cav_report = dqn.evaluate(
-            policy, replace(env_spec, snapshot=snap), extra_steps)
-        reverted_trace = run_idm_recovery(snap, extra_steps,
-                                          phase=metrics.Phase.CONTROLLED)
+    cav_trace, cav_report = dqn.evaluate(
+        policy, replace(env_spec, snapshot=snap), extra_steps)
+    reverted_trace = run_idm_recovery(snap, extra_steps,
+                                      phase=metrics.Phase.CONTROLLED)
     return SwitchBackResult(peak_step=peak_step, snapshot=snap,
                             cav_trace=cav_trace, reverted_trace=reverted_trace,
                             cav_report=cav_report)

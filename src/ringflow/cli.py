@@ -3,10 +3,10 @@
 ``train --out DIR`` leaves a run directory (``run.json``, ``snapshot.json``,
 ``loading_trace.csv``, ``checkpoint.bin``) that ``evaluate --run DIR`` and
 ``compare --run DIR`` read back instead of rebuilding the scenario.
-``--steps`` must be >= 1, so every trace written has a row that
-``FdTrace.read`` accepts; ``--extra-steps`` may be 0.  ``evaluate`` and
-``compare`` print ``rollout collided at step N (follower F, leader L)`` for
-a rollout that a collision ended, ``compare`` after the branch's name.
+``--steps`` and ``--extra-steps`` must be >= 1, as every trace has a
+sample.  ``evaluate`` and ``compare`` print ``rollout collided at step N
+(follower F, leader L)`` for a rollout that a collision ended, ``compare``
+after the branch's name.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 infeasible
 result.
@@ -283,7 +283,7 @@ def build_parser():
         "--run", help="output dir of train: its scenario, plus the CAV "
                       "branches")
     outputs(sp, steps_default=2000)
-    sp.add_argument("--extra-steps", type=_count_from(0), default=200)
+    sp.add_argument("--extra-steps", type=_count_from(1), default=200)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("mpr-calc", help="minimum CAV count from headways")

@@ -128,12 +128,15 @@ _KEYS = {
 
 def _parse(default, text):
     """``text`` as a value of the type of ``default``; a tuple's items take
-    the type of its first item, and speed-limit rules read 'threshold:limit'.
+    the type of its first item (an empty text has no item, and an empty
+    item is an error), and speed-limit rules read 'threshold:limit'.
     """
     text = text.strip()
     if isinstance(default, tuple):
-        return tuple(_parse(default[0], part)
-                     for part in text.split(",") if part.strip())
+        parts = text.split(",") if text else []
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"empty item in {text!r}")
+        return tuple(_parse(default[0], part) for part in parts)
     if isinstance(default, VslRule):
         threshold, _, limit = text.partition(":")
         return VslRule(float(threshold), float(limit))

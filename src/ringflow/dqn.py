@@ -215,10 +215,11 @@ class RingEnv:
 def ddqn_targets(batch, q_online, q_target, gamma):
     """Double-DQN bootstrap from the online and target nets' Q-values at the
     batch's s2 (each of shape (B, n_actions)): the online values pick the
-    action, the target values score it."""
+    action, the target values score it.  The batch's ``r`` and ``done`` are
+    float64 and bool arrays, as ``ReplayBuffer.sample`` returns them."""
     _, _, r, _, done = batch
     boot = q_target[np.arange(len(r)), q_online.argmax(axis=1)]
-    return np.asarray(r) + gamma * boot * (~np.asarray(done, dtype=bool))
+    return r + gamma * boot * ~done
 
 
 # The integer fields of DdqnConfig and the least value each may take.
@@ -362,18 +363,10 @@ def train(env, config, spec):
                        total_steps=global_step)
 
 
-def greedy_controller(policy):
-    """A ``ring.rollout`` control that broadcasts the policy's greedy command
-    for the ring's ``observation`` to every CAV (centralized execution)."""
-
-    def control(t, ring):
-        return ACTION_ACCELS[select_action(policy, observation(ring))], None
-
-    return control
-
-
 def evaluate(policy, env_spec, steps, observe=None):
-    """Greedy rollout of a trained policy for a fixed number of steps.
+    """Greedy rollout of a trained policy for a fixed number of steps: before
+    each step, the policy's greedy command for the ring's ``observation``
+    goes to every CAV (centralized execution).
 
     Returns ``(FdTrace, CollisionReport | None)``: a collision ends the
     rollout early (the ring is physically terminal) and is reported;
@@ -387,6 +380,9 @@ def evaluate(policy, env_spec, steps, observe=None):
         def record(ring):
             rec.record(ring)
             observe(ring)
-    _, report = ringmod.rollout(env_spec.snapshot, steps,
-                                greedy_controller(policy), record)
+
+    def control(t, ring):
+        return ACTION_ACCELS[select_action(policy, observation(ring))], None
+
+    _, report = ringmod.rollout(env_spec.snapshot, steps, control, record)
     return rec.finish(), report

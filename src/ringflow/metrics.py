@@ -6,7 +6,7 @@ veh/km, flows in veh/h, speeds in m/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,13 +20,17 @@ class Phase(Enum):
 
 @dataclass
 class FdTrace:
-    """Fundamental-diagram trace: array-backed, ordered by step."""
+    """Fundamental-diagram trace: array-backed, step-ordered, never empty."""
 
     phase: Phase
-    steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    density: np.ndarray = field(default_factory=lambda: np.empty(0))
-    flow: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mean_speed: np.ndarray = field(default_factory=lambda: np.empty(0))
+    steps: np.ndarray
+    density: np.ndarray
+    flow: np.ndarray
+    mean_speed: np.ndarray
+
+    def __post_init__(self):
+        if len(self.steps) == 0:
+            raise ValueError("an FdTrace needs at least one sample")
 
     def __len__(self):
         return len(self.steps)
@@ -64,13 +68,12 @@ class FdTrace:
             raise ValueError("empty FdTrace file")
         if any(len(r) != 5 or r[1] != rows[0][1] for r in rows):
             raise ValueError("FdTrace rows need five fields and one phase")
-        return FdTrace(
-            phase=Phase(rows[0][1]),
-            steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
-            density=np.array([float(r[2]) for r in rows]),
-            flow=np.array([float(r[3]) for r in rows]),
-            mean_speed=np.array([float(r[4]) for r in rows]),
-        )
+        columns = [np.array([float(r[i]) for r in rows]) for i in (2, 3, 4)]
+        if not all(np.isfinite(c).all() for c in columns):
+            raise ValueError("FdTrace values must be finite")
+        return FdTrace(Phase(rows[0][1]),
+                       np.array([int(r[0]) for r in rows], dtype=np.int64),
+                       *columns)
 
 
 class TraceRecorder:
@@ -114,8 +117,6 @@ def _branch_curve(trace):
     Restricted to densities at or below the trace's flow-peak density; ties
     in density are flow-averaged.
     """
-    if len(trace) == 0:
-        raise ValueError("empty trace")
     k_peak = trace.density[int(np.argmax(trace.flow))]
     mask = trace.density <= k_peak
     k = trace.density[mask]
@@ -145,7 +146,5 @@ def hysteresis_gap(loading, unloading, density):
 
 def peak_flow(trace):
     """``(density, flow)`` of the trace's first maximum-flow sample."""
-    if len(trace) == 0:
-        raise ValueError("peak_flow of an empty trace")
     i = int(np.argmax(trace.flow))
     return float(trace.density[i]), float(trace.flow[i])

@@ -151,10 +151,11 @@ def loss_and_gradients(net, states, action_indices, targets, out=None):
     ``states`` may hold more rows: the one forward pass covers them too, and
     ``targets`` may then be a function of their Q-values that returns the
     batch's targets.  So a Double-DQN step forwards the online net once over
-    ``[s; s2]``: the rows of s2 pick the bootstrap action.  That pass gives
-    the bits of two separate passes when the batch size is a multiple of the
-    BLAS's row block (4 with OpenBLAS's Haswell kernels); with other sizes a
-    row can be computed by another kernel and differ in the last bit.
+    ``[s; s2]``: the rows of s2 pick the bootstrap action.  At a batch of
+    32, the batch of every profile, that pass gives the bits of two separate
+    passes under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels, as
+    measured; at other batch sizes a row can be computed by another kernel
+    and differ in the last bit, depending on the kernel.
 
     Returns ``(loss, grads)`` where grads is a vector laid out like
     ``net.params``: the one of ``out``, a ``net.gradient_buffer()`` that a
@@ -229,10 +230,7 @@ class AdamState:
 
 
 def adam_step(net, grads, adam, lr):
-    """One Adam update with bias correction; mutates net and adam in place.
-
-    Returns ``(net, adam)`` for call-chaining.
-    """
+    """One Adam update with bias correction; mutates net and adam in place."""
     adam.t += 1
     c1 = 1.0 - ADAM_BETA1**adam.t
     c2 = 1.0 - ADAM_BETA2**adam.t
@@ -254,7 +252,6 @@ def adam_step(net, grads, adam, lr):
     s += ADAM_EPS
     u /= s
     net.params -= u
-    return net, adam
 
 
 @dataclass(frozen=True)

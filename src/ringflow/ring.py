@@ -359,9 +359,13 @@ def load_vehicles(ring, target_count):
     within ``LOAD_PATIENCE_STEPS`` past the cooldown, a forced entry is
     taken, and ``CapacityError`` ends a loading that has not finished after
     ``LOAD_MAX_STEPS``.  The whole loading phase is measured every step.
-    Returns ``(loaded_ring, loading FdTrace)``.
+    Returns ``(loaded_ring, loading FdTrace)``; a ring that already holds
+    ``target_count`` vehicles or more is a ``ValueError``.
     """
     check_capacity(ring.length, ring.params, target_count)
+    if ring.n >= target_count:
+        raise ValueError(f"nothing to load: the ring holds {ring.n} "
+                         f"vehicles and the target is {target_count}")
     out = ring.copy()
     rec = metrics.TraceRecorder(metrics.Phase.LOADING)
     since_insert = LOAD_COOLDOWN_STEPS

@@ -119,9 +119,9 @@ def unload_incrementally(ring, removal_seed=0, vsl=None):
 
 def steady_speed(trace):
     """A run's steady mean speed: the mean over the last ``PLATEAU_TAIL``
-    of its samples, 0.0 when that tail is empty."""
+    of its samples, which holds at least the last one."""
     tail = trace.mean_speed[int(len(trace) * (1 - PLATEAU_TAIL)):]
-    return float(tail.mean()) if len(tail) else 0.0
+    return float(tail.mean())
 
 
 def idm_plateau_speed(env_spec):

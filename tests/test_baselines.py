@@ -1,16 +1,23 @@
 """Comparison controllers: recovery, speed-limit tiers, switch-back."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringflow import (
     EnvSpec,
+    FdTrace,
     IdmParams,
     MlpSpec,
     Phase,
     VslPolicy,
     VslRule,
     default_vsl_policy,
+    evaluate,
     find_flow_peak_step,
     init_network,
     measure,
@@ -22,7 +29,7 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow import scenario
 
-from conftest import equilibrium_speed, make_ring
+from conftest import equilibrium_speed, make_ring, rings
 
 
 def _equilibrium_ring(n=20, cav_every=3):
@@ -165,6 +172,29 @@ def test_limit_refresh_period_runs_across_removals(monkeypatch):
     assert len(set(limits)) == 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(ring=rings(), steps=st.integers(1, 50))
+def test_every_rollout_trace_has_a_sample_and_reads_back(ring, steps):
+    policy = init_network(MlpSpec(1, (4,), 3), seed=0)
+    spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
+    rollouts = (
+        (Phase.UNLOADING, lambda n: run_idm_recovery(ring, n)),
+        (Phase.UNLOADING, lambda n: run_vsl(ring, default_vsl_policy(), n)[0]),
+        (Phase.CONTROLLED, lambda n: evaluate(policy, spec, n)[0]),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        for phase, run in rollouts:
+            trace = run(steps)
+            assert 1 <= len(trace) <= steps and trace.phase is phase
+            trace.write(path)
+            back = FdTrace.read(path)
+            assert back.phase is phase
+            assert back.steps.tolist() == trace.steps.tolist()
+            with pytest.raises(ValueError, match="at least one sample"):
+                run(0)
+
+
 # ---------------------------------------------------------------- peak
 
 
@@ -184,17 +214,13 @@ def test_peak_of_short_series():
 # ---------------------------------------------------------------- switch-back
 
 
-def test_switch_back_zero_extra_steps_single_sample():
+@pytest.mark.parametrize("extra_steps", [0, -1])
+def test_switch_back_rejects_extra_steps_below_one(extra_steps):
     ring, _ = _equilibrium_ring()
     spec = EnvSpec(snapshot=ring, success_flow_threshold=1e9)
-    res = run_switch_back(_coast_policy(), spec, extra_steps=0)
-    density, flow, mean_speed = measure(res.snapshot)
-    for trace in (res.cav_trace, res.reverted_trace):
-        assert len(trace) == 1
-        assert trace.phase is Phase.CONTROLLED
-        assert (trace.steps[0], trace.density[0], trace.flow[0],
-                trace.mean_speed[0]) == (res.snapshot.step_count, density,
-                                         flow, mean_speed)
+    # no policy: a search started before the check would fail on it
+    with pytest.raises(ValueError, match="extra_steps must be >= 1"):
+        run_switch_back(None, spec, extra_steps=extra_steps)
 
 
 def test_switch_back_equilibrium_is_indistinguishable():

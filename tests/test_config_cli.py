@@ -236,6 +236,26 @@ def test_malformed_value_fails():
         config_from_kv({"sim.dt": "fast"})
 
 
+@pytest.mark.parametrize("key, good", [
+    ("scenario.removal_schedule", "1, 2"),
+    ("net.hidden_dims", "64, 64"),
+    ("vsl.rules", "15:30, 0:13"),
+])
+@pytest.mark.parametrize("gap", [",,", ", ,"])
+def test_a_tuple_setting_rejects_an_empty_item(key, good, gap):
+    head, tail = good.split(", ")
+    for text in (head + gap + tail, good + ",", "," + good):
+        with pytest.raises(ConfigError, match=f"{key}: empty item"):
+            config_from_kv({key: text})
+
+
+def test_an_empty_tuple_setting_is_the_empty_tuple():
+    # no rule: the speed limit never restricts
+    c = config_from_kv({"vsl.rules": "", "scenario.removal_schedule": " "})
+    assert c.vsl.rules == () and c.removal_schedule == ()
+    assert config_from_kv(parse_kv(config_to_kv(c))) == c
+
+
 def test_parse_kv_lines():
     kv = parse_kv("a.b = 1\n# comment\n\nc.d=x y\n")
     assert kv == {"a.b": "1", "c.d": "x y"}
@@ -356,14 +376,12 @@ def test_cli_profile_is_a_train_flag(tmp_path, capsys):
 ])
 def test_cli_negative_step_counts_are_usage_errors(tmp_path, capsys,
                                                    command, flag):
-    # a run of 0 steps would write header-only traces; 0 extra steps
-    # record the switch-back state
-    least = 0 if flag == "--extra-steps" else 1
-    for value in (-5, least - 1):
+    # a run of 0 steps would have no trace to write
+    for value in (-5, 0):
         code = cli_main([command, flag, str(value), "--run", str(tmp_path),
                          "--out", str(tmp_path / "out")])
         assert code == 1
-        assert (f"argument {flag}: must be >= {least}, got {value}"
+        assert (f"argument {flag}: must be >= 1, got {value}"
                 in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 

@@ -85,6 +85,18 @@ def test_read_rejects_a_malformed_file(tmp_path, body):
         FdTrace.read(p)
 
 
+@pytest.mark.parametrize("column", [2, 3, 4])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_rejects_a_non_finite_value(tmp_path, column, value):
+    row = ["1", "loading", "10", "600", "16.5"]
+    row[column] = value
+    p = tmp_path / "t.csv"
+    p.write_text("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n"
+                 "0,loading,10,600,16.5\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match="must be finite"):
+        FdTrace.read(p)
+
+
 def _reference_csv(trace):
     """The trace file as first written: one row at a time, from numpy
     scalars."""
@@ -167,6 +179,9 @@ def test_peak_tie_breaks_to_first():
 
 
 def test_peak_of_empty_trace_raises():
-    t = trace_of([])
-    with pytest.raises(ValueError):
-        peak_flow(t)
+    # an empty trace cannot be built, by hand or by a recorder that
+    # recorded nothing, so peak_flow never meets one
+    with pytest.raises(ValueError, match="at least one sample"):
+        trace_of([])
+    with pytest.raises(ValueError, match="at least one sample"):
+        TraceRecorder(Phase.LOADING).finish()

@@ -202,11 +202,13 @@ def test_rollout_stops_after_collision():
 # ---------------------------------------------------------------- loading
 
 
-def test_load_to_zero_is_noop():
-    r = RingState()
-    r2, trace = load_vehicles(r, 0)
-    assert r2.n == 0
-    assert len(trace) == 0
+@pytest.mark.parametrize("n, target", [(0, 0), (2, 2), (3, 1), (0, -1)])
+def test_load_with_nothing_to_load_fails(n, target):
+    r = make_ring([i * 100.0 for i in range(n)], [0.0] * n)
+    with pytest.raises(ValueError, match=f"nothing to load: the ring holds "
+                                         f"{n} vehicles and the target is "
+                                         f"{target}"):
+        load_vehicles(r, target)
 
 
 def test_load_two_vehicles_reach_free_flow():

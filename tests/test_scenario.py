@@ -103,10 +103,6 @@ def test_unloading_a_ring_with_nothing_to_unload_fails(n):
         scenario.unload_incrementally(ring)
 
 
-def test_steady_speed_of_an_empty_trace_is_zero():
-    assert steady_speed(FdTrace(Phase.CONTROLLED)) == 0.0
-
-
 def test_plateau_is_the_steady_speed_of_the_all_human_recovery(loads):
     spec = scenario.build_scenario(BASE).env_spec
     assert idm_plateau_speed(spec) == steady_speed(
