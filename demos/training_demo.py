@@ -48,7 +48,7 @@ def rollout_line(trace, report, plateau):
 def main():
     c = apply_profile(preset("mpr33"), "desk")
     built = build_scenario(c)
-    env = RingEnv(built.env_spec, rng=np.random.default_rng(c.ddqn.seed))
+    env = RingEnv(built.env_spec)
     print(
         f"training: {c.ddqn.episodes} episode cap, "
         f"{c.ddqn.total_train_steps} step cap..."

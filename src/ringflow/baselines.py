@@ -40,14 +40,17 @@ class VslPolicy:
     def __post_init__(self):
         qnet.check_count("period_steps", self.period_steps, 1)
         thresholds = [r.min_mean_speed for r in self.rules]
-        if not all(map(math.isfinite, thresholds)):
-            raise ValueError("rule thresholds must be finite")
+        if not all(not isinstance(t, bool) and math.isfinite(t)
+                   for t in thresholds):
+            raise ValueError("rule thresholds must be finite, not bools")
         if sorted(thresholds, reverse=True) != thresholds or len(
             set(thresholds)
         ) != len(thresholds):
             raise ValueError("rule thresholds must be strictly decreasing")
-        if not all(0 < r.limit < math.inf for r in self.rules):
-            raise ValueError("speed limits must be finite and positive")
+        if not all(not isinstance(r.limit, bool) and 0 < r.limit < math.inf
+                   for r in self.rules):
+            raise ValueError("speed limits must be finite and positive, "
+                             "not bools")
 
     def active_limit(self, mean_speed, v0):
         for rule in self.rules:

@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import baselines, config as cfg, dqn, metrics, mpr, net as qnet, ring
 from . import scenario as scen
 from . import svgplot
@@ -126,8 +124,7 @@ def cmd_train(args):
                        built.env_spec.success_flow_threshold}, f, indent=2)
     built.loading_trace.decimate(10).write(
         os.path.join(out, "loading_trace.csv"))
-    env = dqn.RingEnv(built.env_spec,
-                      rng=np.random.default_rng(config.ddqn.seed))
+    env = dqn.RingEnv(built.env_spec)
     result = dqn.train(env, config.ddqn, spec=config.net_spec)
     result.write_reward_trace(os.path.join(out, "reward_trace.csv"))
     qnet.save_checkpoint(result.network, result.adam,

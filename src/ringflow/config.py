@@ -12,7 +12,7 @@ from enum import Enum
 from functools import reduce
 
 from .baselines import VslPolicy, VslRule, default_vsl_policy
-from .dqn import DdqnConfig, RewardConfig, check_episode_bounds
+from .dqn import DdqnConfig, RewardConfig
 from .idm import IdmParams
 from .net import MlpSpec, check_count
 from .ring import FormationStrategy, RingState, check_capacity
@@ -37,7 +37,6 @@ class ScenarioConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     vsl: VslPolicy = field(default_factory=default_vsl_policy)
     max_episode_steps: int = 3000
-    speed_jitter: float = 0.0
 
     def __post_init__(self):
         RingState(self.length, self.dt, self.idm)  # checks length and dt
@@ -47,7 +46,7 @@ class ScenarioConfig:
             check_count("a removal count", count, 0)
         for name in ("removal_seed", "cav_count"):
             check_count(name, getattr(self, name), 0)
-        check_episode_bounds(self.max_episode_steps, self.speed_jitter)
+        check_count("max_episode_steps", self.max_episode_steps, 1)
 
 
 # Named scenario presets mirroring the experiment suite, and the training

@@ -32,7 +32,6 @@ class ReplayBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._rows = np.empty((capacity, 5))
-        self._s = self._rows[:, 0]
         self._cursor = 0
         self._size = 0
 
@@ -61,8 +60,10 @@ class EpsilonSchedule:
     decay_steps: int = 100_000
 
     def __post_init__(self):
-        if not (0.0 <= self.start <= 1.0 and 0.0 <= self.end <= 1.0):
-            raise ValueError("epsilon start and end must be in [0, 1]")
+        if not all(not isinstance(e, bool) and 0.0 <= e <= 1.0
+                   for e in (self.start, self.end)):
+            raise ValueError("epsilon start and end must be in [0, 1], "
+                             "not bools")
         qnet.check_count("epsilon decay_steps", self.decay_steps, 0)
 
 
@@ -98,10 +99,10 @@ class RewardConfig:
     success_bonus: float = 1000.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.collision_penalty)
-                and math.isfinite(self.success_bonus)):
+        if not all(not isinstance(r, bool) and math.isfinite(r)
+                   for r in (self.collision_penalty, self.success_bonus)):
             raise ValueError("reward collision_penalty and success_bonus "
-                             "must be finite")
+                             "must be finite, not bools")
 
 
 @dataclass
@@ -112,21 +113,13 @@ class EnvSpec:
     success_flow_threshold: float
     max_episode_steps: int = 3000
     reward: RewardConfig = field(default_factory=RewardConfig)
-    speed_jitter: float = 0.0  # relative, e.g. 0.05 for +-5%
 
     def __post_init__(self):
         threshold = self.success_flow_threshold
         if isinstance(threshold, bool) or not 0.0 < threshold < math.inf:
             raise ValueError("success_flow_threshold must be finite and > 0, "
                              "not a bool")
-        check_episode_bounds(self.max_episode_steps, self.speed_jitter)
-
-
-def check_episode_bounds(max_episode_steps, speed_jitter):
-    """Bounds shared by EnvSpec and the ScenarioConfig that builds it."""
-    qnet.check_count("max_episode_steps", max_episode_steps, 1)
-    if not 0.0 <= speed_jitter < math.inf:
-        raise ValueError("speed_jitter must be finite and >= 0")
+        qnet.check_count("max_episode_steps", self.max_episode_steps, 1)
 
 
 def observation(ring):
@@ -141,26 +134,20 @@ class EnvTerminatedError(RuntimeError):
 
 class RingEnv:
     """step/reset adapter exposing the ring as a 1-state, 3-action MDP; an
-    episode truncates on the ring's clock, ``max_episode_steps`` steps past
-    the snapshot's ``step_count``."""
+    episode starts from a copy of the snapshot and truncates on the ring's
+    clock, ``max_episode_steps`` steps past the snapshot's ``step_count``."""
 
     n_actions = len(ACTION_ACCELS)
     state_dim = 1
 
+    # ``rng`` is unread; perfbench passes one (ROADMAP item 12 drops both).
     def __init__(self, spec, rng=None):
         self.spec = spec
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self.ring = None
         self._done = True
 
     def reset(self):
         self.ring = self.spec.snapshot.copy()
-        if self.spec.speed_jitter > 0.0 and self.ring.n:
-            j = self.spec.speed_jitter
-            factors = 1.0 + self._rng.uniform(-j, j, self.ring.n)
-            self.ring._v = np.clip(
-                self.ring._v * factors, 0.0, self.ring.params.v0
-            )
         self._done = False
         return observation(self.ring)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .net import check_count
+
 
 class InfeasibleError(ValueError):
     """The requested headway cannot be reached with the available fleet."""
@@ -27,11 +29,10 @@ class HeadwayScenario:
     cav_headway: float  # s, desired CAV headway
 
     def __post_init__(self):
-        if not all(0 < h < math.inf for h in (
+        if not all(not isinstance(h, bool) and 0 < h < math.inf for h in (
                 self.prev_headway, self.cur_headway, self.cav_headway)):
-            raise ValueError("all headways must be finite and positive")
-        if self.total_vehicles < 1:
-            raise ValueError("total_vehicles must be >= 1")
+            raise ValueError("headways must be finite and positive, no bools")
+        check_count("total_vehicles", self.total_vehicles, 1)
 
 
 def required_cavs(scenario):
@@ -65,7 +66,7 @@ def required_cavs(scenario):
         count = int(nearest)
     else:
         count = math.ceil(raw)
-    return raw, min(count, s.total_vehicles)
+    return raw, count
 
 
 def verify_headway(scenario, count):

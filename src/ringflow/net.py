@@ -261,8 +261,10 @@ class LrSchedule:
     total_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (0.0 <= self.base < math.inf and 0.0 <= self.final < math.inf):
-            raise ValueError("lr base and final must be finite and >= 0")
+        if not all(not isinstance(lr, bool) and 0.0 <= lr < math.inf
+                   for lr in (self.base, self.final)):
+            raise ValueError("lr base and final must be finite and >= 0, "
+                             "not bools")
         check_count("lr total_steps", self.total_steps, 0)
 
 

@@ -20,6 +20,9 @@ from . import metrics
 
 SNAPSHOT_FORMAT = "ringflow-snapshot"
 SNAPSHOT_VERSION = 1
+_SNAPSHOT_KEYS = frozenset({"format", "version", "length", "dt", "step_count",
+                            "terminal", "next_id", "idm", "vehicles"})
+_VEHICLE_KEYS = frozenset({"id", "kind", "position", "speed", "last_accel"})
 
 LOAD_COOLDOWN_STEPS = 600
 LOAD_PATIENCE_STEPS = 1800
@@ -480,16 +483,21 @@ def _exactly(kind, name, value):
     return value
 
 
+def _known_keys(doc, keys, where):
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}")
+
+
 def snapshot_from_json(text):
     """Read a snapshot document back into a ring.  ``ValueError`` if a field
     is missing, ``step_count``, ``next_id`` or an id is not an int >= 0,
     ``terminal`` is not a bool, ``length``, ``dt`` or an IDM parameter is a
     bool, a number is not finite, ids repeat or reach ``next_id``, a kind is
     unknown, positions leave [0, length) or cyclic ring order, speeds leave
-    [0, v0], or vehicles overlap (a gap <= 0) in a ring that has not
-    collided.  Other keys, such as the unused seed older versions wrote, are
-    ignored.
-    """
+    [0, v0], vehicles overlap (a gap <= 0) in a ring that has not collided,
+    or the document or a vehicle holds a key ``snapshot_to_json`` does not
+    write."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -498,11 +506,14 @@ def snapshot_from_json(text):
         raise ValueError("not a ring snapshot document")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc.get('version')}")
+    _known_keys(doc, _SNAPSHOT_KEYS, "snapshot")
     try:
         ring = RingState(doc["length"], doc["dt"], IdmParams(**doc["idm"]))
         ring.step_count = _exactly(int, "step_count", doc["step_count"])
         ring.terminal = _exactly(bool, "terminal", doc["terminal"])
         ring._next_id = _exactly(int, "next_id", doc["next_id"])
+        for v in doc["vehicles"]:
+            _known_keys(v, _VEHICLE_KEYS, "snapshot vehicle")
         rows = [(_exactly(int, "vehicle id", v["id"]),
                  VehicleKind(v["kind"]) is VehicleKind.CAV,
                  v["position"], v["speed"], v["last_accel"])

@@ -85,7 +85,6 @@ def env_spec(config, snapshot, success_flow_threshold):
         success_flow_threshold=success_flow_threshold,
         max_episode_steps=config.max_episode_steps,
         reward=config.reward,
-        speed_jitter=config.speed_jitter,
     )
 
 

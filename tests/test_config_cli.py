@@ -150,6 +150,7 @@ def test_non_finite_values_are_rejected_at_load(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("key, value", [
+    # a retired key: rejected as unknown (see test_unknown_key_fails_fast)
     ("scenario.speed_jitter", "nan"),
     ("scenario.load_target", "-1"),
     ("scenario.cav_count", "-1"),
@@ -215,6 +216,31 @@ def test_count_settings_reject_bools_and_fractions(key, bad):
         config_mod._with(ScenarioConfig(), _count_update(key, bad))
 
 
+# Every real-valued setting: the keys whose default is a float, and each
+# field of a speed-limit rule (as the one rule of ``vsl.rules``).
+_FLOAT_UPDATES = {
+    **{key: {path: True} for key, path in config_mod._KEYS.items()
+       if isinstance(config_mod._get(config_mod._DEFAULTS, path), float)},
+    **{f"vsl.rules.{name}": {("vsl", "rules"): (dataclasses.replace(
+        baselines.VslRule(10.0, 20.0), **{name: True}),)}
+       for name in ("min_mean_speed", "limit")},
+}
+
+
+def test_float_keys_cover_every_real_setting():
+    assert {"sim.length", "sim.dt", "idm.v0", "idm.vehicle_length",
+            "ddqn.gamma", "ddqn.epsilon.start", "ddqn.epsilon.end",
+            "ddqn.lr.base", "ddqn.lr.final", "reward.collision_penalty",
+            "reward.success_bonus"} <= set(_FLOAT_UPDATES)
+
+
+@pytest.mark.parametrize("key", sorted(_FLOAT_UPDATES))
+def test_real_settings_reject_bools(key):
+    # a bool would write as 'True', which the config text cannot read back
+    with pytest.raises(ValueError):
+        config_mod._with(ScenarioConfig(), _FLOAT_UPDATES[key])
+
+
 def test_count_settings_take_numpy_integers():
     updates = {}
     for key in _COUNT_KEYS:
@@ -224,11 +250,14 @@ def test_count_settings_take_numpy_integers():
 
 
 def test_unknown_key_fails_fast():
-    # reward.success_terminates is retired: a success always ends the
-    # episode
-    for key in ("idm.warp_drive", "reward.success_terminates"):
+    # retired keys: a success always ends the episode
+    # (reward.success_terminates), and every episode starts from the
+    # snapshot itself (scenario.speed_jitter)
+    for key in ("idm.warp_drive", "reward.success_terminates",
+                "scenario.speed_jitter"):
         with pytest.raises(ConfigError, match=key):
             config_from_kv({key: "1"})
+    assert len(config_mod._KEYS) == 34
 
 
 def test_malformed_value_fails():

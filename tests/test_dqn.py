@@ -44,10 +44,9 @@ def test_fifo_eviction_drops_oldest():
     for i in range(100_001):
         buf.push(float(i), 0, 0.0, 0.0, False)
     assert len(buf) == 100_000
-    stored = buf._s[: len(buf)] if hasattr(buf, "_s") else None
-    sample = buf.sample(100_000, np.random.default_rng(0))
-    assert 0.0 not in sample[0]
-    assert 100_000.0 in sample[0] or stored is None
+    stored = buf._rows[:len(buf), 0]
+    assert 0.0 not in stored
+    assert 100_000.0 in stored
 
 
 def test_sample_returns_the_pushed_transition_with_exact_types():
@@ -198,9 +197,6 @@ def _equilibrium_spec(n=20, **kw):
     ("success_flow_threshold", 0.0),
     ("success_flow_threshold", True),
     ("max_episode_steps", 0),
-    ("speed_jitter", float("nan")),
-    ("speed_jitter", float("inf")),
-    ("speed_jitter", -0.05),
 ])
 def test_env_spec_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=field):

@@ -82,6 +82,21 @@ def test_input_validation():
         verify_headway(s, 61)
 
 
+@pytest.mark.parametrize("args", [
+    (2.5, 2.6, True, 2.0),
+    (2.5, 2.6, 60.5, 2.0),
+    (2.5, 2.6, 60.0, 2.0),
+    (True, 2.6, 60, 2.0),
+    (2.5, True, 60, 2.0),
+    (2.5, 2.6, 60, True),
+], ids=["fleet-bool", "fleet-fraction", "fleet-float", "prev-bool",
+        "cur-bool", "cav-bool"])
+def test_bools_and_fractions_are_rejected(args):
+    # a bool is no headway and no fleet, and the fleet is a whole count
+    with pytest.raises(ValueError, match="int|bool"):
+        HeadwayScenario(*args)
+
+
 @given(
     prev=st.floats(1.1, 3.0),
     cur=st.floats(1.1, 3.0),

@@ -377,13 +377,20 @@ def test_copies_share_the_constant_operands_and_snapshots_rebuild_them():
     assert loaded.params._v0 == 20.0
 
 
-def test_snapshot_keys_and_unread_keys_are_ignored():
+def test_snapshot_keys_and_unknown_keys_are_rejected():
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     assert set(doc) == {"format", "version", "length", "dt", "step_count",
                         "terminal", "next_id", "idm", "vehicles"}
-    doc["seed"] = 7  # older versions wrote a seed that nothing read
-    r = snapshot_from_json(json.dumps(doc))
-    np.testing.assert_array_equal(r.positions, _snapshot_ring().positions)
+    assert set(doc["vehicles"][0]) == {"id", "kind", "position", "speed",
+                                       "last_accel"}
+    # e.g. the unused seed that versions before run directories wrote
+    for edit, key in ((lambda d: d.update(seed=7), "'seed'"),
+                      (lambda d: d.update(zzz=1), "'zzz'"),
+                      (_set_vehicle(1, "colour", "red"), "'colour'")):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(ValueError, match=f"unknown snapshot .*{key}"):
+            snapshot_from_json(json.dumps(bad))
 
 
 def _set_vehicle(i, key, value):

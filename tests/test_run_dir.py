@@ -207,18 +207,32 @@ def test_cli_evaluate_rejects_a_run_whose_snapshot_overlaps(trained_run,
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_rejects_a_run_that_names_the_retired_success_switch(
-        trained_run, tmp_path, capsys):
-    # a run.json written before reward.success_terminates was retired names
-    # it; like any unknown key, it fails the run's config
+def _assert_retired_key_fails_the_run(trained_run, tmp_path, capsys,
+                                      after, retired):
+    """A run.json written before ``retired`` ('key = value') was retired
+    names it after the line ``after``; like any unknown key, it fails the
+    run's config."""
     run = tmp_path / "run"
     shutil.copytree(trained_run[1], run)
-    _edit_config_line("reward.success_bonus = 1000.0\n",
-                      "reward.success_bonus = 1000.0\n"
-                      "reward.success_terminates = true\n")(run)
+    _edit_config_line(f"{after}\n", f"{after}\n{retired}\n")(run)
+    key = retired.partition(" =")[0]
     for command in ("evaluate", "compare"):
         code = cli_main([command, "--run", str(run),
                          "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "reward.success_terminates" in capsys.readouterr().err
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_run_that_names_the_retired_success_switch(
+        trained_run, tmp_path, capsys):
+    _assert_retired_key_fails_the_run(
+        trained_run, tmp_path, capsys, "reward.success_bonus = 1000.0",
+        "reward.success_terminates = true")
+
+
+def test_cli_rejects_a_run_that_names_the_retired_speed_jitter(
+        trained_run, tmp_path, capsys):
+    _assert_retired_key_fails_the_run(
+        trained_run, tmp_path, capsys, "scenario.max_episode_steps = 3000",
+        "scenario.speed_jitter = 0.0")

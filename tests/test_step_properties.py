@@ -149,9 +149,8 @@ def _insert_in_largest_gap(r):
     return out
 
 
-def _env_reset_with_jitter(r):
-    spec = EnvSpec(snapshot=r, success_flow_threshold=1.0, speed_jitter=0.05)
-    env = RingEnv(spec, rng=np.random.default_rng(3))
+def _env_reset(r):
+    env = RingEnv(EnvSpec(snapshot=r, success_flow_threshold=1.0))
     env.reset()
     return env.ring
 
@@ -163,7 +162,7 @@ CHANGES = {
         r, r.n // 2, FormationStrategy.PLATOON),
     "revert_to_human": revert_to_human,
     "snapshot_from_json": lambda r: snapshot_from_json(snapshot_to_json(r)),
-    "env_reset_with_jitter": _env_reset_with_jitter,
+    "env_reset": _env_reset,
 }
 
 
