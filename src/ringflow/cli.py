@@ -156,7 +156,7 @@ def cmd_evaluate(args):
     svgplot.mean_speed_chart(trace, config.dt,
                              "Mean speed under control").write(
         os.path.join(out, "speed_series.svg"))
-    svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
+    svgplot.trajectory_chart(traj.rows(), dt=config.dt).write(
         os.path.join(out, "trajectories.svg"))
     threshold = env_spec.success_flow_threshold
     exceeded = bool((trace.flow > threshold).any())

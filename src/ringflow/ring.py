@@ -547,21 +547,32 @@ def save_snapshot(ring, path):
 
 
 class TrajectoryRecorder:
-    """Accumulates per-step vehicle rows for delimited-text export."""
+    """Accumulates per-step vehicle states for delimited-text export.
+
+    A step keeps the observed ring's columns, not a tuple per vehicle:
+    columns are values that later steps never change (see ``rollout``),
+    and the ids and CAV marks are shared from step to step."""
 
     COLUMNS = ("step", "vehicle_id", "kind", "position_m", "speed_mps", "accel_mps2")
 
     def __init__(self):
-        self.rows = []
+        self._steps = []  # (step_count, _ids, _cav, _pos, _v, _a)
 
     def record(self, ring):
-        kinds = ["cav" if c else "human" for c in ring._cav.tolist()]
-        self.rows.extend(zip(repeat(ring.step_count), ring._ids.tolist(),
-                             kinds, ring._pos.tolist(), ring._v.tolist(),
-                             ring._a.tolist()))
+        self._steps.append((ring.step_count, *(getattr(ring, name)
+                                                for name in _COLUMN_NAMES)))
+
+    def rows(self):
+        """``(step, vehicle_id, kind, position, speed, accel)`` per vehicle
+        per step, as Python numbers and ``"cav"``/``"human"``, one step's
+        rows at a time."""
+        for step_count, ids, cav, pos, v, a in self._steps:
+            kinds = ["cav" if c else "human" for c in cav.tolist()]
+            yield from zip(repeat(step_count), ids.tolist(), kinds,
+                           pos.tolist(), v.tolist(), a.tolist())
 
     def write(self, path):
         with open(path, "w") as f:
             f.write(",".join(self.COLUMNS) + "\n")
-            for r in self.rows:
+            for r in self.rows():
                 f.write(f"{r[0]},{r[1]},{r[2]},{r[3]:.6f},{r[4]:.6f},{r[5]:.6f}\n")

@@ -1,12 +1,18 @@
 """Minimal self-contained SVG line/scatter chart emitter.
 
 Plots are acceptance artifacts regenerable from their data files, so this
-stays dependency-free: axes, ticks, polylines, points, legend.
+needs no plotting library: axes, ticks, polylines, points, legend.  A chart
+keeps its series as arrays and streams its document a piece at a time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+
+import numpy as np
+
+from .metrics import CHUNK_ROWS
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -38,14 +44,31 @@ def _fmt(v):
     return f"{v:g}"
 
 
-def _values(seq):
-    """``seq`` as a list of Python numbers: an array's ``tolist()``, so the
-    chart does its arithmetic on floats, not one numpy scalar at a time."""
-    return seq.tolist() if hasattr(seq, "tolist") else list(seq)
+def _pieces(column):
+    """An array's values as lists of Python numbers (``tolist``),
+    ``CHUNK_ROWS`` at a time, so the chart does its arithmetic on floats,
+    not one numpy scalar at a time, and never holds one Python object per
+    value of a whole series."""
+    for i in range(0, len(column), CHUNK_ROWS):
+        yield column[i:i + CHUNK_ROWS].tolist()
+
+
+def _extent(columns):
+    """``(min, max)`` over every value of ``columns`` in order, as Python's
+    ``min`` and ``max`` of one list of them give it (a NaN counts only if
+    it comes first), a piece at a time; ``None`` without values."""
+    lo = hi = None
+    for column in columns:
+        for piece in _pieces(column):
+            if lo is None:
+                lo = hi = piece[0]
+            lo, hi = min(lo, *piece), max(hi, *piece)
+    return None if lo is None else (lo, hi)
 
 
 class Chart:
-    """A single x/y chart accumulating line and point series."""
+    """A single x/y chart accumulating line and point series, kept as
+    arrays and drawn a piece at a time."""
 
     def __init__(self, title="", xlabel="", ylabel=""):
         self.title = title
@@ -54,20 +77,19 @@ class Chart:
         self.series = []  # (kind, xs, ys, label)
 
     def line(self, xs, ys, label=""):
-        self.series.append(("line", _values(xs), _values(ys), label))
+        self.series.append(("line", np.asarray(xs), np.asarray(ys), label))
         return self
 
     def points(self, xs, ys, label=""):
-        self.series.append(("points", _values(xs), _values(ys), label))
+        self.series.append(("points", np.asarray(xs), np.asarray(ys), label))
         return self
 
     def _bounds(self):
-        xs = [x for _, sx, _, _ in self.series for x in sx]
-        ys = [y for _, _, sy, _ in self.series for y in sy]
-        if not xs:
+        x_extent = _extent(sx for _, sx, _, _ in self.series)
+        if x_extent is None:
             return 0.0, 1.0, 0.0, 1.0
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        x0, x1 = x_extent
+        y0, y1 = _extent(sy for _, _, sy, _ in self.series)
         if x0 == x1:
             x0, x1 = x0 - 0.5, x1 + 0.5
         if y0 == y1:
@@ -76,6 +98,16 @@ class Chart:
         return x0, x1, y0 - pad, y1 + pad
 
     def render(self):
+        return "".join(self._svg())
+
+    def write(self, path):
+        with open(path, "w") as f:
+            f.writelines(self._svg())
+
+    def _svg(self):
+        """The document as text pieces, the data a piece of at most
+        ``CHUNK_ROWS`` samples at a time; joined, the elements stand one
+        to a line."""
         x0, x1, y0, y1 = self._bounds()
         pw = _W - _ML - _MR
         ph = _H - _MT - _MB
@@ -127,27 +159,33 @@ class Chart:
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 18 {_MT + ph / 2})">{self.ylabel}</text>'
         )
+        yield "\n".join(out)
 
         for i, (kind, xs, ys, _label) in enumerate(self.series):
             color = _COLORS[i % len(_COLORS)]
-            pts = [
-                (px(x), py(y))
-                for x, y in zip(xs, ys)
-                if math.isfinite(x) and math.isfinite(y)
-            ]
-            if kind == "line" and len(pts) >= 2:
-                d = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-                out.append(
-                    f'<polyline points="{d}" fill="none" stroke="{color}" '
-                    'stroke-width="1.5"/>'
-                )
+            n = min(len(xs), len(ys))  # as zip pairs them
+            xs, ys = xs[:n], ys[:n]
+            pieces = (
+                [(px(x), py(y)) for x, y in zip(x_piece, y_piece)
+                 if math.isfinite(x) and math.isfinite(y)]
+                for x_piece, y_piece in zip(_pieces(xs), _pieces(ys))
+            )
+            if kind == "line" and np.count_nonzero(
+                    np.isfinite(xs) & np.isfinite(ys)) >= 2:
+                yield '\n<polyline points="'
+                separator = ""
+                for pts in pieces:
+                    if pts:
+                        yield separator + " ".join(f"{x:.1f},{y:.1f}"
+                                                   for x, y in pts)
+                        separator = " "
+                yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>'
             else:
-                for x, y in pts:
-                    out.append(
-                        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="1.6" '
-                        f'fill="{color}"/>'
-                    )
+                for pts in pieces:
+                    yield "".join(f'\n<circle cx="{x:.1f}" cy="{y:.1f}" '
+                                  f'r="1.6" fill="{color}"/>' for x, y in pts)
         # legend
+        out = []
         ly = _MT + 12
         for i, (_, _, _, label) in enumerate(self.series):
             if not label:
@@ -162,11 +200,7 @@ class Chart:
             )
             ly += 17
         out.append("</svg>")
-        return "\n".join(out)
-
-    def write(self, path):
-        with open(path, "w") as f:
-            f.write(self.render())
+        yield "".join("\n" + element for element in out)
 
 
 def fundamental_diagram_chart(traces, title="Fundamental diagram"):
@@ -185,9 +219,10 @@ def mean_speed_chart(trace, dt, title):
 
 
 def trajectory_chart(rows, dt=0.1, title="Vehicle trajectories"):
-    """Space-time scatter from TrajectoryRecorder rows (wrap-safe)."""
+    """Space-time scatter from TrajectoryRecorder rows (wrap-safe), gathered
+    into packed columns."""
     chart = Chart(title, "time (s)", "position (m)")
-    human_x, human_y, cav_x, cav_y = [], [], [], []
+    human_x, human_y, cav_x, cav_y = (array("d") for _ in range(4))
     for step_i, _vid, kind, pos, _v, _a in rows:
         if kind == "cav":
             cav_x.append(step_i * dt)

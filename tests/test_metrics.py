@@ -1,8 +1,11 @@
 """Macroscopic measurement and fundamental-diagram branch analysis."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, strategies as st
 
 from ringflow import (
     FdTrace,
@@ -11,7 +14,9 @@ from ringflow import (
     hysteresis_gap,
     interp_flow,
     measure,
+    metrics,
     peak_flow,
+    step,
 )
 
 from conftest import make_ring, rings, trace_of
@@ -120,16 +125,183 @@ def test_trace_writer_matches_a_per_row_reference(tmp_path, decimation):
     assert path.read_text() == _reference_csv(t.decimate(decimation))
 
 
+def test_trace_written_in_small_pieces_matches_the_reference(tmp_path,
+                                                            monkeypatch):
+    t = FdTrace(phase=Phase.LOADING, steps=np.arange(11) * 5,
+                density=np.linspace(0.0, 68.0, 11), flow=np.full(11, 1e300),
+                mean_speed=np.geomspace(5e-324, 30.0, 11))
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 4)
+    path = tmp_path / "t.csv"
+    t.write(path)
+    assert path.read_text() == _reference_csv(t)
+
+
+def test_read_names_a_step_outside_int64(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n"
+                 "0,loading,10,600,16.5\n"
+                 "99999999999999999999,loading,10,600,16.5\n")
+    with pytest.raises(ValueError, match="line 3: step 99999999999999999999 "
+                                         "is outside int64"):
+        FdTrace.read(p)
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([1, 2], [1.0], [], [1, 2, 3]), "one length"),
+    (([1, 2], [1.0, 2.0], [1.0, 2.0], [1.0]), "one length"),
+    (([[1, 2]], [[1.0, 2.0]], [[1.0, 2.0]], [[1.0, 2.0]]), "1-D"),
+    ((5, 1.0, 1.0, 1.0), "1-D"),
+    (([5, 4], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), "strictly increase"),
+    (([3, 3], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), "strictly increase"),
+])
+def test_trace_checks_its_columns_where_it_is_built(columns, message):
+    with pytest.raises(ValueError, match=message):
+        FdTrace(Phase.LOADING, *(np.array(c) for c in columns))
+
+
+def test_steps_whose_difference_wraps_int64_still_increase():
+    t = FdTrace(Phase.LOADING, np.array([-2**63, 2**63 - 1]),
+                np.ones(2), np.ones(2), np.ones(2))
+    assert t.steps.tolist() == [-2**63, 2**63 - 1]
+
+
+def test_read_rejects_steps_that_do_not_increase(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n"
+                 "5,loading,10,600,16.5\n4,loading,10,600,16.5\n")
+    with pytest.raises(ValueError, match="strictly increase"):
+        FdTrace.read(p)
+
+
+# Floats that the writer's nine significant digits hold exactly, -0.0,
+# subnormals and 1e300 among them.
+exact_floats = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda x: float(f"{x:.9g}"))
+
+
+@st.composite
+def traces(draw):
+    steps = sorted(draw(st.sets(st.integers(-2**62, 2**62), min_size=1,
+                                max_size=12)))
+    n = len(steps)
+    columns = [np.array(draw(st.lists(exact_floats, min_size=n, max_size=n)))
+               for _ in range(3)]
+    return FdTrace(draw(st.sampled_from(Phase)),
+                   np.array(steps, dtype=np.int64), *columns)
+
+
+def _assert_same_trace(a, b):
+    assert a.phase is b.phase
+    for name in ("steps", "density", "flow", "mean_speed"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _written(trace):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        trace.write(path)
+        return path.read_text()
+
+
+def _read_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        path.write_text(text)
+        return FdTrace.read(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+@example(FdTrace(Phase.CONTROLLED, np.array([-2**62, 0, 2**62]),
+                 np.array([-0.0, 5e-324, 1e300]),
+                 np.array([2.5e-310, -1e300, 0.0]),
+                 np.array([0.333333333, -0.0, 1e-300])))
+def test_a_written_trace_reads_back_exactly(trace):
+    _assert_same_trace(_read_text(_written(trace)), trace)
+
+
+MUTATIONS = ("drop", "duplicate", "phase", "non-finite", "big step",
+             "blank line", "bom", "truncate")
+MUST_FAIL = {"drop", "duplicate", "non-finite", "big step"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces(), st.sampled_from(MUTATIONS), st.data())
+def test_a_mutated_trace_file_loads_consistently_or_raises_value_error(
+        trace, mutation, data):
+    """A mutated file either loads to a trace that writes back and reads
+    again equal, or is a ``ValueError``: never another exception."""
+    lines = _written(trace).splitlines(keepends=True)  # header, then rows
+    i = data.draw(st.integers(1, len(lines) - 1), label="row")
+    fields = lines[i].rstrip("\n").split(",")
+    if mutation == "drop":
+        del fields[data.draw(st.integers(0, 4))]
+    elif mutation == "duplicate":
+        j = data.draw(st.integers(0, 4))
+        fields.insert(j, fields[j])
+    elif mutation == "phase":
+        fields[1] = data.draw(st.sampled_from(
+            [p.value for p in Phase] + ["", "LOADING", "loading "]))
+    elif mutation == "non-finite":
+        fields[data.draw(st.integers(2, 4))] = data.draw(st.sampled_from(
+            ["nan", "inf", "-inf", "NaN", "-Infinity"]))
+    elif mutation == "big step":
+        fields[0] = str(data.draw(st.sampled_from(
+            [2**63, -2**63 - 1, 10**20, -10**30])))
+    lines[i] = ",".join(fields) + "\n"
+    if mutation == "blank line":
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     data.draw(st.sampled_from(["\n", "  \n", "\r\n"])))
+    elif mutation == "bom":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[j] = "\ufeff" + lines[j]
+    elif mutation == "truncate":
+        lines[-1] = lines[-1][:data.draw(st.integers(0, len(lines[-1]) - 1))]
+    text = "".join(lines)
+    if mutation in MUST_FAIL:
+        with pytest.raises(ValueError):
+            _read_text(text)
+        return
+    try:
+        loaded = _read_text(text)
+    except ValueError:
+        return
+    _assert_same_trace(_read_text(_written(loaded)), loaded)
+
+
 def test_recorder_collects_samples():
     rec = TraceRecorder(Phase.UNLOADING)
     r = make_ring([0.0, 500.0], [10.0, 10.0])
+    r2, _ = step(r)
     rec.record(r)
-    rec.record(r)
+    rec.record(r2)
     t = rec.finish()
     assert len(t) == 2
     assert t.phase is Phase.UNLOADING
-    assert [t.density[0], t.flow[0], t.mean_speed[0]] == list(measure(r))
-    assert t.steps.tolist() == [r.step_count] * 2
+    for i, ring in enumerate((r, r2)):
+        assert [t.density[i], t.flow[i], t.mean_speed[i]] == list(measure(ring))
+    assert t.steps.tolist() == [r.step_count, r2.step_count]
+    assert t.steps.dtype == np.int64
+
+
+def test_finish_hands_the_samples_over_and_starts_afresh():
+    r = make_ring([0.0, 500.0], [10.0, 10.0])
+    rings = [r]
+    for _ in range(3):
+        rings.append(step(rings[-1])[0])
+    rec = TraceRecorder(Phase.LOADING)
+    rec.record(rings[0])
+    rec.record(rings[1])
+    first = rec.finish()
+    for a in (first.steps, first.density, first.flow, first.mean_speed):
+        a.setflags(write=False)  # as build_scenario shares its loading
+    rec.record(rings[2])  # the trace's buffers are not grown under it
+    rec.record(rings[3])
+    second = rec.finish()
+    assert first.steps.tolist() == [x.step_count for x in rings[:2]]
+    assert second.steps.tolist() == [x.step_count for x in rings[2:]]
+    assert second.mean_speed.tolist() == [x.mean_speed() for x in rings[2:]]
 
 
 def test_decimate_keeps_every_kth():

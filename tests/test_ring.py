@@ -492,8 +492,9 @@ def test_trajectory_rows_and_file_match_a_per_vehicle_reference(tmp_path):
                               "cav" if ring._cav[i] else "human",
                               float(ring._pos[i]), float(ring._v[i]),
                               float(ring._a[i])))
-    assert rec.rows == reference
-    assert [tuple(map(type, r)) for r in rec.rows] == \
+    rows = list(rec.rows())
+    assert rows == reference
+    assert [tuple(map(type, r)) for r in rows] == \
         [(int, int, str, float, float, float)] * len(reference)
     path = tmp_path / "trajectory.csv"
     rec.write(path)

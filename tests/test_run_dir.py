@@ -58,7 +58,7 @@ def _rebuilt_outputs(config, checkpoint, ev, cmp):
     svgplot.mean_speed_chart(trace, config.dt,
                              "Mean speed under control").write(
         ev / "speed_series.svg")
-    svgplot.trajectory_chart(traj.rows, dt=config.dt).write(
+    svgplot.trajectory_chart(traj.rows(), dt=config.dt).write(
         ev / "trajectories.svg")
 
     cmp.mkdir()

@@ -4,6 +4,7 @@ the same values in Python lists."""
 import dataclasses
 
 import numpy as np
+import pytest
 
 from ringflow import FdTrace, Phase
 from ringflow import svgplot
@@ -40,3 +41,23 @@ def test_line_chart_is_the_same_from_arrays_and_lists():
         list(range(len(t))), t.flow.tolist(), label="q")
     assert chart.render() == listed.render()
     assert chart.render().count("<polyline") == 1
+
+
+@pytest.mark.parametrize("kind", ["line", "points"])
+def test_a_chart_drawn_in_small_pieces_is_the_same(tmp_path, monkeypatch,
+                                                   kind):
+    t = _trace(Phase.CONTROLLED, 3, n=50)
+    flow = t.flow.copy()
+    flow[[7, 8, 21, 49]] = np.nan  # pieces of 7 start at 7 and 21
+
+    def draw():
+        chart = svgplot.Chart("t", "x", "y")
+        getattr(chart, kind)(t.steps, flow, label="q")
+        return chart.points(t.density, t.mean_speed, label="u")
+
+    whole = draw().render()  # one piece
+    assert whole.count("<polyline") == (kind == "line")
+    monkeypatch.setattr(svgplot, "CHUNK_ROWS", 7)
+    assert draw().render() == whole
+    draw().write(tmp_path / "c.svg")
+    assert (tmp_path / "c.svg").read_text() == whole
