@@ -19,10 +19,6 @@ class Phase(Enum):
     CONTROLLED = "controlled"
 
 
-# Rows per piece when a trace is recorded, read, written or drawn: the
-# Python objects of one piece are the most any of them holds at once.
-CHUNK_ROWS = 4096
-
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -30,9 +26,11 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 class FdTrace:
     """Fundamental-diagram trace: array-backed, step-ordered, never empty.
 
-    Its four columns are 1-D and of one length, at least 1, and its steps
-    strictly increase; a trace that breaks one of these is a ``ValueError``
-    where it is built."""
+    Its steps are int64 and its values float64, bound as such where it is
+    built (an array of that dtype is kept, not copied); its four columns are
+    1-D and of one length, at least 1, and its steps strictly increase.  A
+    trace whose steps are not integers int64 holds, or that breaks one of
+    these, is a ``ValueError`` where it is built."""
 
     phase: Phase
     steps: np.ndarray
@@ -41,13 +39,20 @@ class FdTrace:
     mean_speed: np.ndarray
 
     def __post_init__(self):
-        columns = [np.asarray(c) for c in
-                   (self.steps, self.density, self.flow, self.mean_speed)]
+        steps = np.asarray(self.steps)
+        if not (np.issubdtype(steps.dtype, np.integer)
+                and np.can_cast(steps.dtype, np.int64)):
+            raise ValueError(f"FdTrace steps must be integers that int64 "
+                             f"holds, not {steps.dtype}")
+        self.steps = steps = np.asarray(steps, np.int64)
+        self.density, self.flow, self.mean_speed = (
+            np.asarray(c, np.float64)
+            for c in (self.density, self.flow, self.mean_speed))
+        columns = (steps, self.density, self.flow, self.mean_speed)
         if any(c.ndim != 1 for c in columns):
             raise ValueError("FdTrace columns must be 1-D")
         if len({len(c) for c in columns}) != 1:
             raise ValueError("FdTrace columns must all have one length")
-        steps = columns[0]
         if len(steps) == 0:
             raise ValueError("an FdTrace needs at least one sample")
         if not (steps[1:] > steps[:-1]).all():  # no diff: it could wrap
@@ -68,20 +73,15 @@ class FdTrace:
         )
 
     def write(self, path):
-        """One CSV row per sample, formatted from Python numbers
-        (``tolist``), which print as numpy's do; ``CHUNK_ROWS`` rows to a
-        ``write`` call."""
+        """One CSV row per sample, formatted from the Python numbers that
+        iterating the columns' memoryviews yields one at a time, which print
+        as numpy's do."""
         phase = self.phase.value
+        columns = (self.steps, self.density, self.flow, self.mean_speed)
         with open(path, "w") as f:
             f.write("step,phase,density_veh_km,flow_veh_h,mean_speed_mps\n")
-            for i in range(0, len(self), CHUNK_ROWS):
-                piece = slice(i, i + CHUNK_ROWS)
-                rows = zip(map(int, self.steps[piece].tolist()),
-                           self.density[piece].tolist(),
-                           self.flow[piece].tolist(),
-                           self.mean_speed[piece].tolist())
-                f.write("".join(f"{step},{phase},{k:.9g},{q:.9g},{u:.9g}\n"
-                                for step, k, q, u in rows))
+            f.writelines(f"{step},{phase},{k:.9g},{q:.9g},{u:.9g}\n"
+                         for step, k, q, u in zip(*map(memoryview, columns)))
 
     @staticmethod
     def read(path):
@@ -89,8 +89,7 @@ class FdTrace:
         columns.  A file without rows, a row without five fields or of
         another phase, a step outside int64 and a non-finite value are
         ``ValueError``s."""
-        columns = _packed_columns()
-        recent = steps, density, flow, speed = [], [], [], []
+        columns = steps, density, flow, speed = _packed_columns()
         phase = None
         with open(path) as f:
             if not f.readline().startswith("step,phase,"):
@@ -112,11 +111,8 @@ class FdTrace:
                 density.append(float(row[2]))
                 flow.append(float(row[3]))
                 speed.append(float(row[4]))
-                if len(steps) == CHUNK_ROWS:
-                    _pack(columns, recent)
         if phase is None:
             raise ValueError("empty FdTrace file")
-        _pack(columns, recent)
         steps, *values = _unpacked(columns)
         if not all(np.isfinite(c).all() for c in values):
             raise ValueError("FdTrace values must be finite")
@@ -128,14 +124,6 @@ def _packed_columns():
     return array("q"), array("d"), array("d"), array("d")
 
 
-def _pack(columns, recent):
-    """Append the Python numbers in the lists ``recent`` to the buffers
-    ``columns``, a list to a buffer, and empty the lists."""
-    for column, values in zip(columns, recent):
-        column.fromlist(values)
-        values.clear()
-
-
 def _unpacked(columns):
     """The buffers as arrays that view them; a viewed buffer cannot grow."""
     return [np.frombuffer(c, dtype=c.typecode) for c in columns]
@@ -144,10 +132,9 @@ def _unpacked(columns):
 class TraceRecorder:
     """Accumulates per-step measurements into an FdTrace.
 
-    Each step appends to four lists, the cheapest call per step, and every
-    ``CHUNK_ROWS`` steps the lists are packed into ``array`` buffers, one
-    machine number per value; ``finish`` hands the buffers to the trace
-    without a copy.  A long trace never holds a Python object per sample."""
+    Each step appends to four ``array`` buffers, one machine number per
+    value, and ``finish`` hands the buffers to the trace without a copy, so
+    a long trace never holds a Python object per sample."""
 
     def __init__(self, phase):
         self.phase = phase
@@ -155,8 +142,7 @@ class TraceRecorder:
 
     def _start(self):
         self._columns = _packed_columns()
-        self._recent = ([], [], [], [])
-        self._steps, self._density, self._flow, self._speed = self._recent
+        self._steps, self._density, self._flow, self._speed = self._columns
 
     def record(self, ring):
         density, flow, mean_speed = measure(ring)
@@ -164,13 +150,10 @@ class TraceRecorder:
         self._density.append(density)
         self._flow.append(flow)
         self._speed.append(mean_speed)
-        if len(self._steps) == CHUNK_ROWS:
-            _pack(self._columns, self._recent)
 
     def finish(self):
         """The trace of the steps recorded since the last ``finish``; the
         trace views the buffers, so the recorder starts new ones."""
-        _pack(self._columns, self._recent)
         columns = self._columns
         self._start()
         return FdTrace(self.phase, *_unpacked(columns))

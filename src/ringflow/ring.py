@@ -84,7 +84,8 @@ class RingState:
     the step would not see it.  A vehicle's speed is at most ``v0`` and a
     human's IDM acceleration at most ``a_max``, so a ring whose
     ``v0·dt + ½·a_max·dt²`` exceeds ``vehicle_length`` is a ``ValueError``;
-    ``step`` bounds a CAV command the same way (``_cav_accel_max``).
+    ``step`` bounds a CAV command the same way (``_cav_accel_max``), and a
+    ``dt`` whose square underflows to 0 is a ``ValueError`` too.
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
@@ -103,6 +104,9 @@ class RingState:
                 f"(v0 {p.v0!r}, dt {self.dt!r}, a_max {p.a_max!r}) exceeds "
                 f"vehicle_length {p.vehicle_length!r} m: a follower could "
                 f"pass its leader unseen")
+        if self.dt * self.dt == 0.0:
+            raise ValueError(f"dt {self.dt!r} is too small: dt*dt underflows "
+                             f"to 0, which the CAV command bound divides by")
         self._cav_accel_max = (2.0 * (p.vehicle_length - p.v0 * self.dt)
                                / (self.dt * self.dt))
         self.step_count = 0
@@ -483,6 +487,18 @@ def _exactly(kind, name, value):
     return value
 
 
+def _number(name, value):
+    """``value`` as a float if it is a JSON number, an int or a float (not a
+    bool or a string) that a float holds."""
+    if type(value) not in (int, float):
+        raise ValueError(f"snapshot {name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"snapshot {name} is outside the float range") \
+            from None
+
+
 def _known_keys(doc, keys, where):
     for key in doc:
         if key not in keys:
@@ -493,7 +509,9 @@ def snapshot_from_json(text):
     """Read a snapshot document back into a ring.  ``ValueError`` if a field
     is missing, ``step_count``, ``next_id`` or an id is not an int >= 0,
     ``terminal`` is not a bool, ``length``, ``dt`` or an IDM parameter is a
-    bool, a number is not finite, ids repeat or reach ``next_id``, a kind is
+    bool, a vehicle's position, speed or last acceleration is not a JSON
+    number (an int or a float, not a bool) that a float holds, a number is
+    not finite, ids repeat or reach ``next_id``, a kind is
     unknown, positions leave [0, length) or cyclic ring order, speeds leave
     [0, v0], vehicles overlap (a gap <= 0) in a ring that has not collided,
     or the document or a vehicle holds a key ``snapshot_to_json`` does not
@@ -516,7 +534,8 @@ def snapshot_from_json(text):
             _known_keys(v, _VEHICLE_KEYS, "snapshot vehicle")
         rows = [(_exactly(int, "vehicle id", v["id"]),
                  VehicleKind(v["kind"]) is VehicleKind.CAV,
-                 v["position"], v["speed"], v["last_accel"])
+                 *(_number(f"vehicle {key}", v[key])
+                   for key in ("position", "speed", "last_accel")))
                 for v in doc["vehicles"]]
         for (name, dtype), values in zip(_COLUMNS, zip(*rows)):
             setattr(ring, name, np.array(values, dtype=dtype))

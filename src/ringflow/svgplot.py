@@ -2,7 +2,8 @@
 
 Plots are acceptance artifacts regenerable from their data files, so this
 needs no plotting library: axes, ticks, polylines, points, legend.  A chart
-keeps its series as arrays and streams its document a piece at a time.
+keeps each series as float64 arrays of its finite pairs and streams its
+document an element at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 from array import array
 
 import numpy as np
-
-from .metrics import CHUNK_ROWS
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -44,31 +43,9 @@ def _fmt(v):
     return f"{v:g}"
 
 
-def _pieces(column):
-    """An array's values as lists of Python numbers (``tolist``),
-    ``CHUNK_ROWS`` at a time, so the chart does its arithmetic on floats,
-    not one numpy scalar at a time, and never holds one Python object per
-    value of a whole series."""
-    for i in range(0, len(column), CHUNK_ROWS):
-        yield column[i:i + CHUNK_ROWS].tolist()
-
-
-def _extent(columns):
-    """``(min, max)`` over every value of ``columns`` in order, as Python's
-    ``min`` and ``max`` of one list of them give it (a NaN counts only if
-    it comes first), a piece at a time; ``None`` without values."""
-    lo = hi = None
-    for column in columns:
-        for piece in _pieces(column):
-            if lo is None:
-                lo = hi = piece[0]
-            lo, hi = min(lo, *piece), max(hi, *piece)
-    return None if lo is None else (lo, hi)
-
-
 class Chart:
-    """A single x/y chart accumulating line and point series, kept as
-    arrays and drawn a piece at a time."""
+    """A single x/y chart accumulating line and point series, each kept as
+    two float64 arrays of its finite pairs."""
 
     def __init__(self, title="", xlabel="", ylabel=""):
         self.title = title
@@ -77,19 +54,32 @@ class Chart:
         self.series = []  # (kind, xs, ys, label)
 
     def line(self, xs, ys, label=""):
-        self.series.append(("line", np.asarray(xs), np.asarray(ys), label))
-        return self
+        return self._add("line", xs, ys, label)
 
     def points(self, xs, ys, label=""):
-        self.series.append(("points", np.asarray(xs), np.asarray(ys), label))
+        return self._add("points", xs, ys, label)
+
+    def _add(self, kind, xs, ys, label):
+        """Keep the pairs whose values are both finite; columns that are
+        not 1-D or not of one length are a ``ValueError``."""
+        xs, ys = np.asarray(xs, np.float64), np.asarray(ys, np.float64)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ValueError("a chart series needs two 1-D columns of one "
+                             f"length, got shapes {xs.shape} and {ys.shape}")
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.all():
+            xs, ys = xs[finite], ys[finite]
+        self.series.append((kind, xs, ys, label))
         return self
 
     def _bounds(self):
-        x_extent = _extent(sx for _, sx, _, _ in self.series)
-        if x_extent is None:
+        drawn = [(xs, ys) for _, xs, ys, _ in self.series if len(xs)]
+        if not drawn:
             return 0.0, 1.0, 0.0, 1.0
-        x0, x1 = x_extent
-        y0, y1 = _extent(sy for _, _, sy, _ in self.series)
+        x0 = min(float(xs.min()) for xs, _ in drawn)
+        x1 = max(float(xs.max()) for xs, _ in drawn)
+        y0 = min(float(ys.min()) for _, ys in drawn)
+        y1 = max(float(ys.max()) for _, ys in drawn)
         if x0 == x1:
             x0, x1 = x0 - 0.5, x1 + 0.5
         if y0 == y1:
@@ -105,9 +95,10 @@ class Chart:
             f.writelines(self._svg())
 
     def _svg(self):
-        """The document as text pieces, the data a piece of at most
-        ``CHUNK_ROWS`` samples at a time; joined, the elements stand one
-        to a line."""
+        """The document as text pieces, a series point by point: the pixel
+        coordinates of a whole series are computed at once, and iterating
+        their memoryviews yields them as Python floats one pair at a time.
+        Joined, the elements stand one to a line."""
         x0, x1, y0, y1 = self._bounds()
         pw = _W - _ML - _MR
         ph = _H - _MT - _MB
@@ -163,27 +154,17 @@ class Chart:
 
         for i, (kind, xs, ys, _label) in enumerate(self.series):
             color = _COLORS[i % len(_COLORS)]
-            n = min(len(xs), len(ys))  # as zip pairs them
-            xs, ys = xs[:n], ys[:n]
-            pieces = (
-                [(px(x), py(y)) for x, y in zip(x_piece, y_piece)
-                 if math.isfinite(x) and math.isfinite(y)]
-                for x_piece, y_piece in zip(_pieces(xs), _pieces(ys))
-            )
-            if kind == "line" and np.count_nonzero(
-                    np.isfinite(xs) & np.isfinite(ys)) >= 2:
-                yield '\n<polyline points="'
-                separator = ""
-                for pts in pieces:
-                    if pts:
-                        yield separator + " ".join(f"{x:.1f},{y:.1f}"
-                                                   for x, y in pts)
-                        separator = " "
+            pairs = zip(memoryview(px(xs)), memoryview(py(ys)))
+            if kind == "line" and len(xs) >= 2:
+                separator = '\n<polyline points="'
+                for x, y in pairs:
+                    yield f"{separator}{x:.1f},{y:.1f}"
+                    separator = " "
                 yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>'
             else:
-                for pts in pieces:
-                    yield "".join(f'\n<circle cx="{x:.1f}" cy="{y:.1f}" '
-                                  f'r="1.6" fill="{color}"/>' for x, y in pts)
+                for x, y in pairs:
+                    yield (f'\n<circle cx="{x:.1f}" cy="{y:.1f}" r="1.6" '
+                           f'fill="{color}"/>')
         # legend
         out = []
         ly = _MT + 12

@@ -48,16 +48,18 @@ def test_recorder_holds_packed_samples():
             rec.record(ring)
         rec.finish()
 
-    # lists of boxed numbers: 168 B/sample; packed: 37 B/sample
+    # lists of boxed numbers: 168 B/sample; appended to array buffers:
+    # 34 B/sample
     assert _peak_bytes(record) / N < 80
 
 
 def test_trace_file_is_written_and_read_in_bounded_pieces(tmp_path):
     trace = _trace(N)
     path = tmp_path / "t.csv"
-    # whole-trace tolist: 136 B/sample; 4096 rows at a time: 10 B/sample
+    # whole-trace tolist: 136 B/sample; memoryviews, a row at a time:
+    # 0.3 B/sample
     assert _peak_bytes(lambda: trace.write(path)) / N < 40
-    # a list of split rows: 515 B/sample; packed columns: 37 B/sample
+    # a list of split rows: 515 B/sample; packed columns: 34 B/sample
     assert _peak_bytes(lambda: FdTrace.read(path)) / N < 100
 
 
@@ -66,7 +68,7 @@ def test_chart_is_written_in_bounded_pieces(tmp_path):
     fd = svgplot.fundamental_diagram_chart([trace])
     speed = svgplot.mean_speed_chart(trace, 0.1, "speed")
     # whole-series lists and one string per point: 342 and 253 B/point;
-    # streamed: 51 and 48 B/point
+    # streamed from memoryviews: 24 and 24 B/point
     for chart, name in ((fd, "fd.svg"), (speed, "speed.svg")):
         peak = _peak_bytes(lambda: chart.write(tmp_path / name))
         assert peak / CHART_POINTS < 120, name
@@ -89,5 +91,5 @@ def test_trajectory_recorder_keeps_columns(tmp_path):
 
     # a tuple per vehicle per step: 170 B/row; the ring's columns: 34 B/row
     assert _peak_bytes(record_and_write) / rows < 80
-    # with the chart, lists of points: 412 B/row; packed: 78 B/row
+    # with the chart, lists of points: 412 B/row; packed: 64 B/row
     assert _peak_bytes(record_and_draw) / rows < 160

@@ -14,7 +14,6 @@ from ringflow import (
     hysteresis_gap,
     interp_flow,
     measure,
-    metrics,
     peak_flow,
     step,
 )
@@ -125,15 +124,20 @@ def test_trace_writer_matches_a_per_row_reference(tmp_path, decimation):
     assert path.read_text() == _reference_csv(t.decimate(decimation))
 
 
-def test_trace_written_in_small_pieces_matches_the_reference(tmp_path,
-                                                            monkeypatch):
+def test_trace_written_in_small_pieces_matches_the_reference(tmp_path):
+    # The writer streams one row at a time from the columns' memoryviews;
+    # a strided, read-only column (as build_scenario shares its loading)
+    # is written as it was given.
+    strided = np.geomspace(5e-324, 30.0, 22)[::2]  # subnormals first
+    strided.setflags(write=False)
     t = FdTrace(phase=Phase.LOADING, steps=np.arange(11) * 5,
                 density=np.linspace(0.0, 68.0, 11), flow=np.full(11, 1e300),
-                mean_speed=np.geomspace(5e-324, 30.0, 11))
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 4)
+                mean_speed=strided)
     path = tmp_path / "t.csv"
-    t.write(path)
-    assert path.read_text() == _reference_csv(t)
+    for written in (t, t.decimate(3)):
+        written.write(path)
+        assert path.read_text() == _reference_csv(written)
+    assert t.mean_speed is strided
 
 
 def test_read_names_a_step_outside_int64(tmp_path):
@@ -163,6 +167,27 @@ def test_steps_whose_difference_wraps_int64_still_increase():
     t = FdTrace(Phase.LOADING, np.array([-2**63, 2**63 - 1]),
                 np.ones(2), np.ones(2), np.ones(2))
     assert t.steps.tolist() == [-2**63, 2**63 - 1]
+
+
+def test_trace_binds_int64_steps_and_float64_values(tmp_path):
+    t = FdTrace(Phase.LOADING, [0, 1], [1.0, 2.0], [10, 20], [1.0, 2.0])
+    assert [c.dtype for c in (t.steps, t.density, t.flow, t.mean_speed)] == \
+        [np.int64, np.float64, np.float64, np.float64]
+    t.write(tmp_path / "t.csv")
+    _assert_same_trace(FdTrace.read(tmp_path / "t.csv"), t)
+    assert interp_flow(t, 1.5) == 15.0
+    columns = (np.arange(2), np.ones(2), np.ones(2), np.ones(2))
+    kept = FdTrace(Phase.LOADING, *columns)
+    assert all(a is b for a, b in zip(
+        (kept.steps, kept.density, kept.flow, kept.mean_speed), columns))
+
+
+@pytest.mark.parametrize("steps", [
+    [0.5, 1.5], [0.2, 0.7], np.array([0.0, 1.0]), [False, True],
+    np.array([0, 2**63], dtype=np.uint64), ["0", "1"]])
+def test_trace_steps_that_are_not_int64_integers_are_rejected(steps):
+    with pytest.raises(ValueError, match="steps must be integers"):
+        FdTrace(Phase.LOADING, steps, [1.0, 2.0], [1.0, 2.0], [1.0, 2.0])
 
 
 def test_read_rejects_steps_that_do_not_increase(tmp_path):

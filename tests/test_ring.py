@@ -428,6 +428,11 @@ def _set_vehicle(i, key, value):
     lambda doc: doc.update(dt=True),
     lambda doc: doc.update(vehicles=[], length=True),
     lambda doc: doc["idm"].update(T=True),
+    _set_vehicle(0, "position", "1.5"),
+    _set_vehicle(0, "speed", True),
+    _set_vehicle(0, "last_accel", "0"),
+    _set_vehicle(0, "position", 10**400),
+    lambda doc: doc.update(dt=1e-320),
 ], ids=["duplicate-id", "next-id-in-use", "unknown-kind", "nan-speed",
         "infinite-length", "nan-idm", "position-past-length",
         "negative-position", "out-of-order", "negative-speed",
@@ -435,12 +440,26 @@ def _set_vehicle(i, key, value):
         "step-count-float", "step-count-bool", "terminal-str", "terminal-int",
         "next-id-float", "next-id-bool", "id-float", "id-str", "id-bool",
         "negative-step-count", "negative-next-id", "negative-id", "dt-bool",
-        "length-bool", "idm-bool"])
+        "length-bool", "idm-bool", "position-str", "speed-bool",
+        "last-accel-str", "position-huge-int", "dt-underflow"])
 def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     snapshot_from_json(json.dumps(doc))  # the unedited document loads
     edit(doc)
     with pytest.raises(ValueError):
+        snapshot_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("position", "1.5", "vehicle position must be a number"),
+    ("speed", True, "vehicle speed must be a number"),
+    ("last_accel", "0", "vehicle last_accel must be a number"),
+    ("position", 10**400, "vehicle position is outside the float range"),
+], ids=["position-str", "speed-bool", "last-accel-str", "position-huge-int"])
+def test_snapshot_vehicle_numbers_are_json_numbers(key, value, message):
+    doc = json.loads(snapshot_to_json(_snapshot_ring()))
+    doc["vehicles"][0][key] = value
+    with pytest.raises(ValueError, match=message):
         snapshot_from_json(json.dumps(doc))
 
 
@@ -538,6 +557,28 @@ def test_a_step_that_could_carry_a_follower_past_its_leader_is_rejected():
     doc.update(dt=0.5, idm=dict(doc["idm"], v0=40.0))
     with pytest.raises(ValueError, match="exceeds vehicle_length"):
         snapshot_from_json(json.dumps(doc))
+
+
+def test_a_dt_whose_square_underflows_is_rejected_where_it_enters(tmp_path,
+                                                                  capsys):
+    from ringflow.cli import main as cli_main
+
+    for dt in (1e-320, 1e-170, 5e-324):
+        with pytest.raises(ValueError, match="dt\\*dt underflows to 0"):
+            RingState(dt=dt)
+    with pytest.raises(ConfigError, match="dt\\*dt underflows to 0"):
+        config_from_kv({"sim.dt": "1e-170"})
+    cfgfile = tmp_path / "tiny_dt.cfg"
+    cfgfile.write_text("sim.dt = 1e-320\n")
+    assert cli_main(["hysteresis", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 1
+    assert "dt*dt underflows to 0" in capsys.readouterr().err
+    # the smallest dt whose square is a (subnormal) float still builds,
+    # with the bound computed as before
+    dt = 1e-160
+    p = IdmParams()
+    assert RingState(dt=dt)._cav_accel_max == \
+        2.0 * (p.vehicle_length - p.v0 * dt) / (dt * dt)
 
 
 def test_step_rejects_a_cav_command_that_could_carry_it_past_its_leader():
