@@ -1,17 +1,12 @@
 """ringflow: ring-road traffic microsimulation, DDQN traffic shaping, and
 fundamental-diagram hysteresis analysis."""
 
-from .idm import (
-    AlreadyCollidingError,
-    IdmParams,
-    idm_acceleration,
-)
+from .idm import IdmParams
 from .ring import (
     CapacityError,
     CollisionReport,
     FormationStrategy,
     RingState,
-    VehicleKind,
     apply_formation,
     load_vehicles,
     remove_vehicles,

@@ -19,11 +19,6 @@ def _operand(value):
 _ZERO, _ONE = _operand(0.0), _operand(1.0)
 
 
-class AlreadyCollidingError(ValueError):
-    """Raised when the scalar IDM reference is evaluated at a non-positive
-    gap."""
-
-
 @dataclass(frozen=True)
 class IdmParams:
     """Car-following parameters.
@@ -76,39 +71,20 @@ class IdmParams:
                              "positive, and (v0 / limit) ** delta finite")
 
 
-def idm_acceleration(v, leader_v, gap, params, v_desired=None):
-    """Acceleration of a follower at speed ``v`` behind a leader at ``leader_v``.
-
-    ``gap`` is the bumper-to-bumper distance (m, must be > 0).  ``v_desired``
-    overrides the desired speed (used by speed-limit control); defaults to
-    ``params.v0``.
-
-    The simulator steps with ``idm_acceleration_vec``.  This scalar form,
-    with its ``AlreadyCollidingError``, is kept as the written-out reference
-    that the tests compare the vectorized form against.
-    """
-    if gap <= 0:
-        raise AlreadyCollidingError(f"gap {gap} <= 0: vehicles already colliding")
-    vd = params.v0 if v_desired is None else v_desired
-    dv = v - leader_v
-    s_star = params.s0 + max(
-        0.0, v * params.T + v * dv / (2.0 * math.sqrt(params.a_max * params.b))
-    )
-    return params.a_max * (1.0 - (v / vd) ** params.delta - (s_star / gap) ** 2)
-
-
 def idm_acceleration_vec(v, leader_v, gap, params, v_desired=None):
-    """Vectorized ``idm_acceleration`` over numpy arrays (gaps must be > 0).
+    """IDM acceleration over numpy arrays of follower speeds ``v``, leader
+    speeds and bumper-to-bumper gaps (> 0): a_max (1 - (v / vd) ** delta -
+    (s_star / gap) ** 2) with s_star = s0 + max(0, v T + v (v - leader_v) /
+    (2 sqrt(a_max b))), and vd the speed limit ``v_desired`` or ``v0``.
 
-    The operations, and the operands of each, are those of the scalar form
-    in the same order, so the bits are too.  They run in place on three
-    fresh temporaries (the third argument of a ufunc is its output), never
-    in an argument.  A constant operand is the read-only 0-d float64 array
-    that ``params`` (or this module) made once, never a Python float: numpy
-    would convert the float to just such an array on every call, so the
-    loop and the bits are the same and the conversion is saved.  A speed
-    limit ``v_desired`` changes from call to call and stays a float.
-    """
+    The formula's operations run left to right, so a reference written the
+    same way has the same bits.  They run in place on three fresh
+    temporaries (the third argument of a ufunc is its output), never in an
+    argument.  A constant operand is the read-only 0-d float64 array that
+    ``params`` (or this module) made once, never a Python float: numpy would
+    convert the float to just such an array on every call, so the loop and
+    the bits are the same and the conversion is saved.  A speed limit
+    ``v_desired`` changes from call to call and stays a float."""
     vd = params._v0 if v_desired is None else v_desired
     s_star = np.subtract(v, leader_v)  # dv
     np.multiply(v, s_star, s_star)

@@ -87,8 +87,9 @@ class FdTrace:
     def read(path):
         """The trace of a file ``write`` wrote, parsed row by row into packed
         columns.  A file without rows, a row without five fields or of
-        another phase, a step outside int64 and a non-finite value are
-        ``ValueError``s."""
+        another phase, a step outside int64, a non-finite value and a last
+        row without its newline (a cut file: ``write`` ends every row with
+        one) are ``ValueError``s."""
         columns = steps, density, flow, speed = _packed_columns()
         phase = None
         with open(path) as f:
@@ -113,6 +114,9 @@ class FdTrace:
                 speed.append(float(row[4]))
         if phase is None:
             raise ValueError("empty FdTrace file")
+        # ``line`` is the file's last line, the only one that can lack "\n"
+        if not line.endswith("\n") and line.strip():
+            raise ValueError(f"FdTrace line {number} was cut (no newline)")
         steps, *values = _unpacked(columns)
         if not all(np.isfinite(c).all() for c in values):
             raise ValueError("FdTrace values must be finite")

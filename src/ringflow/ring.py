@@ -36,9 +36,9 @@ _COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 _HALF = _operand(0.5)
 
 
-class VehicleKind(Enum):
-    HUMAN = "human"
-    CAV = "cav"
+# A vehicle's kind as snapshots and trajectories spell it, indexed by its
+# CAV mark: _KINDS[False] is "human", _KINDS[True] is "cav".
+_KINDS = ("human", "cav")
 
 
 @dataclass(frozen=True)
@@ -464,14 +464,10 @@ def snapshot_to_json(ring):
         "next_id": ring._next_id,
         "idm": asdict(ring.params),
         "vehicles": [
-            {
-                "id": int(ring._ids[i]),
-                "kind": "cav" if ring._cav[i] else "human",
-                "position": float(ring._pos[i]),
-                "speed": float(ring._v[i]),
-                "last_accel": float(ring._a[i]),
-            }
-            for i in range(ring.n)
+            {"id": vid, "kind": _KINDS[cav], "position": pos, "speed": speed,
+             "last_accel": accel}
+            for vid, cav, pos, speed, accel in zip(
+                *(getattr(ring, name).tolist() for name in _COLUMN_NAMES))
         ],
     }
     return json.dumps(doc, indent=2)
@@ -532,8 +528,10 @@ def snapshot_from_json(text):
         ring._next_id = _exactly(int, "next_id", doc["next_id"])
         for v in doc["vehicles"]:
             _known_keys(v, _VEHICLE_KEYS, "snapshot vehicle")
+            if v["kind"] not in _KINDS:
+                raise ValueError(f"unknown vehicle kind {v['kind']!r}")
         rows = [(_exactly(int, "vehicle id", v["id"]),
-                 VehicleKind(v["kind"]) is VehicleKind.CAV,
+                 v["kind"] == _KINDS[True],
                  *(_number(f"vehicle {key}", v[key])
                    for key in ("position", "speed", "last_accel")))
                 for v in doc["vehicles"]]
@@ -583,10 +581,10 @@ class TrajectoryRecorder:
 
     def rows(self):
         """``(step, vehicle_id, kind, position, speed, accel)`` per vehicle
-        per step, as Python numbers and ``"cav"``/``"human"``, one step's
+        per step, as Python numbers and a kind of ``_KINDS``, one step's
         rows at a time."""
         for step_count, ids, cav, pos, v, a in self._steps:
-            kinds = ["cav" if c else "human" for c in cav.tolist()]
+            kinds = [_KINDS[c] for c in cav.tolist()]
             yield from zip(repeat(step_count), ids.tolist(), kinds,
                            pos.tolist(), v.tolist(), a.tolist())
 

@@ -9,9 +9,12 @@ document an element at a time.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 
 import numpy as np
+
+from .ring import _KINDS
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -20,8 +23,6 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
 def _nice_ticks(lo, hi):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     raw = span / 5  # about six ticks
     mag = 10 ** math.floor(math.log10(raw))
@@ -39,6 +40,27 @@ def _nice_ticks(lo, hi):
     return ticks
 
 
+def _markable(lo, hi):
+    """Whether ``_nice_ticks`` can mark [lo, hi]: its ticks, within a step of
+    a fifth to two fifths of the span around it, stay finite, and the least
+    step is a normal float of at least eight ulps, so it moves a tick."""
+    span = hi - lo
+    reach = max(abs(lo), abs(hi)) + span / 2
+    return math.isfinite(reach) and span / 5 >= max(
+        sys.float_info.min, 8 * math.ulp(reach))
+
+
+def _axes(x0, x1, y0, y1):
+    """The axis ranges around the drawn pairs' extent: a range of one value
+    widens to a unit, and y gains 4% of its range at each end."""
+    if x0 == x1:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y0 == y1:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    pad = 0.04 * (y1 - y0)
+    return x0, x1, y0 - pad, y1 + pad
+
+
 def _fmt(v):
     return f"{v:g}"
 
@@ -52,6 +74,7 @@ class Chart:
         self.xlabel = xlabel
         self.ylabel = ylabel
         self.series = []  # (kind, xs, ys, label)
+        self._extent = None  # (x0, x1, y0, y1) of every series' pairs
 
     def line(self, xs, ys, label=""):
         return self._add("line", xs, ys, label)
@@ -60,8 +83,10 @@ class Chart:
         return self._add("points", xs, ys, label)
 
     def _add(self, kind, xs, ys, label):
-        """Keep the pairs whose values are both finite; columns that are
-        not 1-D or not of one length are a ``ValueError``."""
+        """Keep the pairs whose values are both finite.  Columns that are
+        not 1-D or not of one length are a ``ValueError``, and so is a
+        series that would widen an axis to a range its ticks cannot mark
+        (one that overflows, or too narrow for its magnitude)."""
         xs, ys = np.asarray(xs, np.float64), np.asarray(ys, np.float64)
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ValueError("a chart series needs two 1-D columns of one "
@@ -69,23 +94,24 @@ class Chart:
         finite = np.isfinite(xs) & np.isfinite(ys)
         if not finite.all():
             xs, ys = xs[finite], ys[finite]
+        if len(xs):
+            extent = (float(xs.min()), float(xs.max()),
+                      float(ys.min()), float(ys.max()))
+            if self._extent is not None:
+                extent = tuple(f(old, new) for f, old, new in zip(
+                    (min, max, min, max), self._extent, extent))
+            x0, x1, y0, y1 = _axes(*extent)
+            if not (_markable(x0, x1) and _markable(y0, y1)):
+                raise ValueError(
+                    f"chart series {label!r} would stretch the axes to x "
+                    f"[{x0!r}, {x1!r}], y [{y0!r}, {y1!r}], past what "
+                    "their ticks can mark")
+            self._extent = extent
         self.series.append((kind, xs, ys, label))
         return self
 
     def _bounds(self):
-        drawn = [(xs, ys) for _, xs, ys, _ in self.series if len(xs)]
-        if not drawn:
-            return 0.0, 1.0, 0.0, 1.0
-        x0 = min(float(xs.min()) for xs, _ in drawn)
-        x1 = max(float(xs.max()) for xs, _ in drawn)
-        y0 = min(float(ys.min()) for _, ys in drawn)
-        y1 = max(float(ys.max()) for _, ys in drawn)
-        if x0 == x1:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y0 == y1:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-        pad = 0.04 * (y1 - y0)
-        return x0, x1, y0 - pad, y1 + pad
+        return _axes(*self._extent) if self._extent else (0.0, 1.0, 0.0, 1.0)
 
     def render(self):
         return "".join(self._svg())
@@ -203,16 +229,12 @@ def trajectory_chart(rows, dt=0.1, title="Vehicle trajectories"):
     """Space-time scatter from TrajectoryRecorder rows (wrap-safe), gathered
     into packed columns."""
     chart = Chart(title, "time (s)", "position (m)")
-    human_x, human_y, cav_x, cav_y = (array("d") for _ in range(4))
+    columns = {kind: (array("d"), array("d")) for kind in _KINDS}
     for step_i, _vid, kind, pos, _v, _a in rows:
-        if kind == "cav":
-            cav_x.append(step_i * dt)
-            cav_y.append(pos)
-        else:
-            human_x.append(step_i * dt)
-            human_y.append(pos)
-    if human_x:
-        chart.points(human_x, human_y, label="human")
-    if cav_x:
-        chart.points(cav_x, cav_y, label="cav")
+        xs, ys = columns[kind]
+        xs.append(step_i * dt)
+        ys.append(pos)
+    for kind, (xs, ys) in columns.items():
+        if xs:
+            chart.points(xs, ys, label=kind)
     return chart

@@ -1,5 +1,8 @@
 """Shared helpers for building small ring states and flow traces by hand,
-and the hypothesis strategy of random valid rings."""
+the written-out IDM reference and what theory derives from it, and the
+hypothesis strategy of random valid rings."""
+
+import math
 
 import numpy as np
 import pytest
@@ -19,22 +22,65 @@ def make_ring(positions, speeds, cavs=None, length=1000.0, dt=0.1,
     return ring
 
 
+def reference_idm(v, leader_v, gap, p, v_desired=None):
+    """The IDM acceleration (Treiber, Hennecke and Helbing, 2000) written out
+    with numpy operators: the reference that the shipped
+    ``idm_acceleration_vec`` must equal bit for bit, so that a reordered
+    expression in the kernel cannot match itself."""
+    vd = p.v0 if v_desired is None else v_desired
+    dv = v - leader_v
+    s_star = p.s0 + np.maximum(
+        0.0, v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b)))
+    return p.a_max * (1.0 - (v / vd) ** p.delta - (s_star / gap) ** 2)
+
+
 def equilibrium_speed(gap, params):
     """Steady-state IDM speed at a fixed bumper-to-bumper gap (zero speed
-    difference): the root of a(v) = 0 in [0, v0], or 0 when the gap cannot
-    sustain motion (gap <= s0)."""
+    difference): the root of ``reference_idm(v, v, gap)`` in [0, v0], or 0
+    when the gap cannot sustain motion (gap <= s0)."""
     if gap <= params.s0:
         return 0.0
 
     def f(v):
-        s_star = params.s0 + v * params.T
-        return 1.0 - (v / params.v0) ** params.delta - (s_star / gap) ** 2
+        return reference_idm(v, v, gap, params)
 
     if f(0.0) <= 0.0:
         return 0.0
     if f(params.v0) >= 0.0:
         return params.v0
     return brentq(f, 0.0, params.v0, xtol=1e-12)
+
+
+def linear_growth(n, k, length, dt, params):
+    """Growth per step of Fourier mode ``k`` of a small disturbance of the
+    uniform ring of ``n`` humans on a loop of ``length`` (linear stability,
+    Wilson and Ward, 2011).
+
+    Around gap s = length / n - vehicle_length and speed v_e(s), with the
+    IDM partials f_s, f_v and f_dv (dv = v - leader_v) taken from
+    ``reference_idm`` by central differences, mode k (theta = 2 pi k / n,
+    the leader one index ahead) accelerates by A dx + B dv, where
+    A = f_s (e^(i theta) - 1) and B = f_v + f_dv (1 - e^(i theta)).  The
+    step's ballistic update maps (dx, dv) by
+    [[1 + dt^2 A / 2, dt + dt^2 B / 2], [dt A, 1 + dt B]]; the growth is
+    that matrix's spectral radius."""
+    p = params
+    gap = length / n - p.vehicle_length
+    v_e = equilibrium_speed(gap, p)
+
+    def accel(s, v, dv):
+        return reference_idm(v, v - dv, s, p)
+
+    h = 1e-6
+    f_s = (accel(gap + h, v_e, 0.0) - accel(gap - h, v_e, 0.0)) / (2 * h)
+    f_v = (accel(gap, v_e + h, 0.0) - accel(gap, v_e - h, 0.0)) / (2 * h)
+    f_dv = (accel(gap, v_e, h) - accel(gap, v_e, -h)) / (2 * h)
+    shift = np.exp(2j * np.pi * k / n)
+    a = f_s * (shift - 1.0)
+    b = f_v + f_dv * (1.0 - shift)
+    step = np.array([[1.0 + 0.5 * dt * dt * a, dt + 0.5 * dt * dt * b],
+                     [dt * a, 1.0 + dt * b]])
+    return float(np.abs(np.linalg.eigvals(step)).max())
 
 
 def trace_of(pairs, phase=Phase.LOADING):

@@ -1,4 +1,5 @@
-"""Car-following acceleration law: hand-checked values and limit behavior."""
+"""Car-following acceleration law: hand-checked values and limit behavior
+of the shipped kernel, and its bits against the written-out reference."""
 
 import math
 from dataclasses import asdict, fields, replace
@@ -7,62 +8,65 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringflow import AlreadyCollidingError, IdmParams, ScenarioConfig
+from ringflow import IdmParams, ScenarioConfig
 from ringflow.config import config_to_kv
-from ringflow.idm import idm_acceleration, idm_acceleration_vec
+from ringflow.idm import idm_acceleration_vec
 
-from conftest import equilibrium_speed, idm_params_drawn
+from conftest import equilibrium_speed, idm_params_drawn, reference_idm
 
 FIELDS = ("v0", "T", "a_max", "b", "delta", "s0", "vehicle_length")
 OPERANDS = ("v0", "T", "a_max", "delta", "s0", "vehicle_length",
             "two_sqrt_ab")
 
 
+def accel(v, leader_v, gap, params, v_desired=None):
+    """``idm_acceleration_vec`` for one follower, through 1-element
+    arrays."""
+    return idm_acceleration_vec(np.array([v]), np.array([leader_v]),
+                                np.array([gap]), params, v_desired).item()
+
+
 def test_hand_value_matched_speeds_midrange_gap(idm_params):
     # v=10, leader 10, gap 30: s* = 2 + 10*1.5 = 17
-    a = idm_acceleration(10.0, 10.0, 30.0, idm_params)
+    a = accel(10.0, 10.0, 30.0, idm_params)
     expected = 1.0 * (1.0 - (10.0 / 30.0) ** 4 - (17.0 / 30.0) ** 2)
     assert a == pytest.approx(expected, abs=1e-12)
     assert a == pytest.approx(0.6665, abs=5e-4)
 
 
 def test_standstill_free_road_gives_max_acceleration(idm_params):
-    a = idm_acceleration(0.0, 0.0, 1e6, idm_params)
+    a = accel(0.0, 0.0, 1e6, idm_params)
     assert a == pytest.approx(idm_params.a_max, abs=1e-6)
 
 
 def test_desired_speed_free_road_gives_zero_acceleration(idm_params):
-    a = idm_acceleration(idm_params.v0, idm_params.v0, 1e6, idm_params)
+    a = accel(idm_params.v0, idm_params.v0, 1e6, idm_params)
     assert a == pytest.approx(0.0, abs=1e-6)
-
-
-def test_nonpositive_gap_raises(idm_params):
-    with pytest.raises(AlreadyCollidingError):
-        idm_acceleration(5.0, 5.0, 0.0, idm_params)
-    with pytest.raises(AlreadyCollidingError):
-        idm_acceleration(5.0, 5.0, -1.0, idm_params)
 
 
 def test_desired_speed_override_caps_speed(idm_params):
     # At 20 m/s with a 15 m/s limit the law must brake even on a free road.
-    a = idm_acceleration(20.0, 20.0, 1e6, idm_params, v_desired=15.0)
+    a = accel(20.0, 20.0, 1e6, idm_params, v_desired=15.0)
     assert a < 0.0
 
 
 def test_vectorized_matches_scalar(idm_params):
+    """The kernel equals the written-out reference bit for bit, with and
+    without a speed limit (the reference's ``max`` is taken both ways)."""
     rng = np.random.default_rng(0)
     v = rng.uniform(0, 30, 50)
     lv = rng.uniform(0, 30, 50)
     gap = rng.uniform(1, 100, 50)
-    vec = idm_acceleration_vec(v, lv, gap, idm_params)
-    scal = [idm_acceleration(*args, idm_params) for args in zip(v, lv, gap)]
-    np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-12)
+    for v_desired in (None, 15.0):
+        np.testing.assert_array_equal(
+            idm_acceleration_vec(v, lv, gap, idm_params, v_desired),
+            reference_idm(v, lv, gap, idm_params, v_desired))
 
 
 def test_equilibrium_speed_is_a_fixed_point(idm_params):
     for gap in (5.0, 10.0, 20.0, 50.0):
         v_eq = equilibrium_speed(gap, idm_params)
-        a = idm_acceleration(v_eq, v_eq, gap, idm_params)
+        a = accel(v_eq, v_eq, gap, idm_params)
         assert a == pytest.approx(0.0, abs=1e-9)
 
 
@@ -80,12 +84,12 @@ def test_equilibrium_speed_monotone_in_gap(idm_params):
 )
 def test_acceleration_bounded_above_by_a_max(v, lv, gap):
     p = IdmParams()
-    assert idm_acceleration(v, lv, gap, p) <= p.a_max + 1e-12
+    assert accel(v, lv, gap, p) <= p.a_max + 1e-12
 
 
 def test_closing_fast_brakes_harder_than_steady(idm_params):
-    steady = idm_acceleration(10.0, 10.0, 15.0, idm_params)
-    closing = idm_acceleration(10.0, 2.0, 15.0, idm_params)
+    steady = accel(10.0, 10.0, 15.0, idm_params)
+    closing = accel(10.0, 2.0, 15.0, idm_params)
     assert closing < steady
 
 

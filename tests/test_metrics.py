@@ -198,6 +198,22 @@ def test_read_rejects_steps_that_do_not_increase(tmp_path):
         FdTrace.read(p)
 
 
+def test_read_rejects_a_file_cut_inside_its_last_row(tmp_path):
+    p = tmp_path / "loading_trace.csv"
+    trace = FdTrace(Phase.LOADING, [0, 1, 2], [10.0, 20.0, 30.5],
+                    [600.0, 900.0, 357.125], [16.5, 12.5, 3.25])
+    trace.write(p)
+    text = p.read_text()
+    assert text.endswith("\n2,loading,30.5,357.125,3.25\n")
+    p.write_text(text[:-3])  # cut inside the last number: 3.25 -> 3.
+    with pytest.raises(ValueError, match="line 4 was cut"):
+        FdTrace.read(p)
+    # blank lines after the last row, the final one without its newline,
+    # are no cut
+    p.write_text(text + "\n  ")
+    _assert_same_trace(FdTrace.read(p), trace)
+
+
 # Floats that the writer's nine significant digits hold exactly, -0.0,
 # subnormals and 1e300 among them.
 exact_floats = st.floats(allow_nan=False, allow_infinity=False).map(
@@ -282,9 +298,12 @@ def test_a_mutated_trace_file_loads_consistently_or_raises_value_error(
         j = data.draw(st.integers(0, len(lines) - 1))
         lines[j] = "\ufeff" + lines[j]
     elif mutation == "truncate":
+        # a cut inside the last row leaves it without its newline; a cut to
+        # zero characters drops the whole row, which no reader can tell
+        # from a file written one row shorter
         lines[-1] = lines[-1][:data.draw(st.integers(0, len(lines[-1]) - 1))]
     text = "".join(lines)
-    if mutation in MUST_FAIL:
+    if mutation in MUST_FAIL or (mutation == "truncate" and lines[-1]):
         with pytest.raises(ValueError):
             _read_text(text)
         return

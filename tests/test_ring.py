@@ -22,7 +22,7 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow.config import ConfigError, config_from_kv
 
-from conftest import equilibrium_speed, make_ring
+from conftest import equilibrium_speed, linear_growth, make_ring
 
 
 # ---------------------------------------------------------------- gaps
@@ -197,6 +197,38 @@ def test_rollout_stops_after_collision():
                                   seen.append)
     assert isinstance(report, CollisionReport) and end.terminal
     assert seen == [end]
+
+
+# ---------------------------------------------------------------- stability
+
+
+def _mode_amplitude(ring, k):
+    """|Fourier coefficient k| of the gaps, vehicle index by index (a step
+    keeps every vehicle at its index)."""
+    j = np.arange(ring.n)
+    return abs(np.sum(ring._gaps() * np.exp(-2j * np.pi * k * j / ring.n)))
+
+
+# Uniform flow on the 1000 m loop is linearly unstable from 29 veh/km.
+# Modes that decay as fast as k = 3 at 28 veh/km (0.9942 per step) fall to
+# rounding noise by step 4000, so they are left out.
+@pytest.mark.parametrize("n, k", [(28, 1), (28, 2), (29, 1), (51, 1),
+                                  (51, 2), (51, 3)])
+def test_a_small_mode_grows_as_linear_stability_predicts(n, k):
+    p, length, dt = IdmParams(), 1000.0, 0.1
+    spacing = length / n
+    j = np.arange(n)
+    ring = make_ring(j * spacing + 1e-6 * np.cos(2 * np.pi * k * j / n),
+                     [equilibrium_speed(spacing - p.vehicle_length, p)] * n,
+                     length=length, dt=dt)
+    ring, _ = ringmod.rollout(ring, 2000)
+    early = _mode_amplitude(ring, k)
+    ring, report = ringmod.rollout(ring, 2000)
+    assert report is None
+    growth = (_mode_amplitude(ring, k) / early) ** (1 / 2000)
+    predicted = linear_growth(n, k, length, dt, p)
+    assert (predicted > 1.0) == (n >= 29)
+    assert growth - 1.0 == pytest.approx(predicted - 1.0, rel=1e-4)
 
 
 # ---------------------------------------------------------------- loading
@@ -433,6 +465,9 @@ def _set_vehicle(i, key, value):
     _set_vehicle(0, "last_accel", "0"),
     _set_vehicle(0, "position", 10**400),
     lambda doc: doc.update(dt=1e-320),
+    _set_vehicle(0, "kind", "CAV"),
+    _set_vehicle(0, "kind", ["cav"]),
+    _set_vehicle(0, "kind", True),
 ], ids=["duplicate-id", "next-id-in-use", "unknown-kind", "nan-speed",
         "infinite-length", "nan-idm", "position-past-length",
         "negative-position", "out-of-order", "negative-speed",
@@ -441,7 +476,8 @@ def _set_vehicle(i, key, value):
         "next-id-float", "next-id-bool", "id-float", "id-str", "id-bool",
         "negative-step-count", "negative-next-id", "negative-id", "dt-bool",
         "length-bool", "idm-bool", "position-str", "speed-bool",
-        "last-accel-str", "position-huge-int", "dt-underflow"])
+        "last-accel-str", "position-huge-int", "dt-underflow",
+        "kind-upper-case", "kind-list", "kind-bool"])
 def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     snapshot_from_json(json.dumps(doc))  # the unedited document loads

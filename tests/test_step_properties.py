@@ -2,8 +2,6 @@
 invariants hold, and the step equals a reference rule bit for bit, also after
 every operation that changes a ring between two steps."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -22,7 +20,7 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow.dqn import ACTION_ACCELS, EnvSpec, RingEnv
 
-from conftest import make_ring, rings
+from conftest import make_ring, reference_idm, rings
 
 P = IdmParams()
 STEPS = 8
@@ -33,16 +31,6 @@ COLUMNS = ("_ids", "_cav", "_pos", "_v", "_a")
 # least 0.1 m/s keeps every IDM term finite
 commands = st.tuples(st.sampled_from(ACTION_ACCELS + (-0.0,)),
                      st.none() | st.floats(0.1, P.v0))
-
-
-def reference_idm(v, leader_v, gap, p, v_desired):
-    """The IDM acceleration as first vectorized, written out here, so that a
-    reordered expression in ``idm_acceleration_vec`` cannot match itself."""
-    vd = p.v0 if v_desired is None else v_desired
-    dv = v - leader_v
-    s_star = p.s0 + np.maximum(
-        0.0, v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b)))
-    return p.a_max * (1.0 - (v / vd) ** p.delta - (s_star / gap) ** 2)
 
 
 def reference_step(ring, cav_accel, v_desired):

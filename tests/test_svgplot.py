@@ -102,3 +102,23 @@ def test_a_written_chart_is_its_rendered_document(tmp_path, kind):
     chart.points(t.density, t.mean_speed, label="u")
     chart.write(tmp_path / "c.svg")
     assert (tmp_path / "c.svg").read_text() == chart.render()
+
+
+@pytest.mark.parametrize("xs", [[-1e308, 1e308], [0.0, 5e-324],
+                                [1e300, 1e300], [1e16, 1e16 + 2.0]],
+                         ids=["overflowing", "subnormal", "one-huge-value",
+                              "below-tick-resolution"])
+def test_a_series_on_an_axis_its_ticks_cannot_mark_is_rejected(xs):
+    # the last once looped forever: a tick step below an ulp never moved
+    with pytest.raises(ValueError, match="chart series 'bad'"):
+        svgplot.Chart().points(xs, [0.0, 1.0], label="bad")
+    with pytest.raises(ValueError, match="chart series 'bad'"):
+        svgplot.Chart().line([0.0, 1.0], xs, label="bad")
+
+
+def test_series_that_overflow_an_axis_only_together_are_rejected():
+    chart = svgplot.Chart().points([-1e308, 0.0], [0.0, 1.0], label="low")
+    svg = chart.render()
+    with pytest.raises(ValueError, match="chart series 'high'"):
+        chart.points([1e308], [0.0], label="high")
+    assert chart.render() == svg  # the rejected series left no trace
