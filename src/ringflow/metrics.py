@@ -155,6 +155,21 @@ class TraceRecorder:
         self._flow.append(flow)
         self._speed.append(mean_speed)
 
+    def _record_block(self, last_step, speeds, length):
+        """Record the steps up to ``last_step`` of a ring on a loop of
+        ``length`` whose speeds after each step are the rows of ``speeds``,
+        a (steps, n) block of one vehicle count n: ``measure`` of each, bit
+        for bit.  A row's sum is the pairwise sum ``np.add.reduce`` takes of
+        the row alone, and the rest is the same float64 arithmetic in the
+        same order."""
+        steps, n = speeds.shape
+        density = np.full(steps, n / length * 1000.0)
+        u = np.add.reduce(speeds, axis=1) / n
+        self._steps.extend(range(last_step - steps + 1, last_step + 1))
+        for buffer, column in zip(self._columns[1:],
+                                  (density, density * u * 3.6, u)):
+            buffer.frombytes(column.tobytes())
+
     def finish(self):
         """The trace of the steps recorded since the last ``finish``; the
         trace views the buffers, so the recorder starts new ones."""

@@ -161,19 +161,14 @@ class RingState:
             setattr(self, name, getattr(self, name)[index])
 
     def _gaps(self):
-        """Bumper-to-bumper gap of every vehicle to its ring leader; a lone
-        vehicle leads itself, a whole loop ahead (read-only, computed once
-        per ``_pos`` array; ``length`` and ``params`` are never rebound)."""
+        """Bumper-to-bumper gap of every vehicle to its ring leader
+        (``_gap_column``; read-only, computed once per ``_pos`` array;
+        ``length`` and ``params`` are never rebound)."""
         pos = self._pos
         memo_pos, gaps = self._gap_memo
         if memo_pos is not pos:
-            if len(pos) == 1:
-                gaps = np.array([self.length])
-            else:
-                gaps = _lead(pos)
-                np.subtract(gaps, pos, gaps)
-                np.remainder(gaps, self._length, gaps)
-            np.subtract(gaps, self.params._vehicle_length, gaps)
+            gaps = _gap_column(pos, _lead_index(len(pos)), self._length,
+                               self.params._vehicle_length)
             gaps.setflags(write=False)
             self._gap_memo = (pos, gaps)
         return gaps
@@ -202,17 +197,87 @@ class RingState:
 _LEAD_INDEX = {}
 
 
-def _lead(column):
-    """Every vehicle's leader's entry: ``column`` shifted one place round the
-    ring, as ``np.roll(column, -1)``, by a ``take`` with the leader index of
-    its length (kept per length in ``_LEAD_INDEX``; empty for n = 0)."""
-    n = len(column)
+def _lead_index(n):
+    """The index that takes every vehicle's leader's entry from a column of
+    ``n``: ``column.take(index)`` is ``np.roll(column, -1)`` (kept per ``n``
+    in ``_LEAD_INDEX``; empty for n = 0)."""
     index = _LEAD_INDEX.get(n)
     if index is None:
         index = np.roll(np.arange(n), -1)
         index.setflags(write=False)
         _LEAD_INDEX[n] = index
-    return column.take(index)
+    return index
+
+
+def _gap_column(pos, lead, length, vehicle_length):
+    """Bumper-to-bumper gap of every vehicle at ``pos`` to its leader (the
+    entries at ``lead``) on a loop of ``length``, as a new array; a lone
+    vehicle leads itself, a whole loop ahead."""
+    if len(pos) == 1:
+        gaps = np.array([length])
+    else:
+        gaps = pos.take(lead)
+        np.subtract(gaps, pos, gaps)
+        np.remainder(gaps, length, gaps)
+    np.subtract(gaps, vehicle_length, gaps)
+    return gaps
+
+
+def _step_columns(pos, v, gaps, lead, cav, cav_accel, v_desired, p, dt,
+                  length):
+    """One step's arithmetic on the columns of n >= 1 vehicles: returns the
+    new ``(positions, speeds, accelerations, gaps)`` as new arrays.
+
+    ``gaps`` are those of ``pos`` and ``lead`` the leader index of n
+    (``_lead_index``).  ``cav`` is the CAV mask, whose vehicles all get
+    ``cav_accel``, or ``None`` for a ring without CAVs; ``v_desired`` caps
+    the IDM desired speed, or is ``None``.  ``dt`` and ``length`` are the
+    ring's 0-d operands (``RingState._dt``, ``._length``).
+
+    The arithmetic is that of the first vectorized step, operation for
+    operation, so the bits are too.  The new arrays are computed in place
+    (a ufunc's third argument is its output) on fresh temporaries, never in
+    an argument.  The expressions keep their order: ``0.5 * accel * dt *
+    dt`` is not reassociated, and ``** delta`` stays a power.  Speeds are
+    limited with ``clip``, not ``minimum``/``maximum``: those turn a speed
+    of -0.0 into +0.0, and ``clip`` keeps it.  Constant operands are
+    read-only 0-d float64 arrays made once (``_ZERO``, ``_HALF``, ``dt``,
+    ``length``, the params' ``_v0``), not Python floats that numpy would
+    convert to such arrays on every call; a CAV command changes from step
+    to step and stays a float."""
+    accel = idm_acceleration_vec(v, v.take(lead), gaps, p,
+                                 v_desired=v_desired)
+    if cav is not None:
+        np.copyto(accel, cav_accel, where=cav)
+    v_new = accel * dt
+    np.add(v, v_new, v_new)
+    v_new.clip(_ZERO, p._v0, out=v_new)
+    half = np.multiply(_HALF, accel)
+    np.multiply(half, dt, half)
+    np.multiply(half, dt, half)
+    disp = v * dt
+    np.add(disp, half, disp)
+    np.maximum(disp, _ZERO, out=disp)  # no reversing
+    np.add(pos, disp, disp)
+    np.remainder(disp, length, disp)
+    return disp, v_new, accel, _gap_column(disp, lead, length,
+                                           p._vehicle_length)
+
+
+def _collision(gaps, ids, step_count):
+    """The ``CollisionReport`` of the first vehicle with the least gap when
+    that gap is <= 0, else ``None``; NaN gaps are skipped, as ``<=`` skips
+    them.  ``argmin`` finds the least gap in one pass, unless it stops at a
+    NaN; then ``nanargmin`` looks past them."""
+    i = gaps.argmin()
+    gap = gaps.item(i)
+    if gap != gap and not np.isnan(gaps).all():
+        i = np.nanargmin(gaps)
+        gap = gaps.item(i)
+    if not gap <= 0.0:
+        return None
+    return CollisionReport(step=step_count, follower_id=ids.item(i),
+                           leader_id=ids.item((i + 1) % len(ids)), gap=gap)
 
 
 def step(ring, cav_accel=0.0, v_desired=None):
@@ -223,31 +288,19 @@ def step(ring, cav_accel=0.0, v_desired=None):
     (speed-limit control).  Returns ``(new_ring, CollisionReport | None)``;
     a collision marks the returned ring terminal, and a terminal ring cannot
     be stepped again.  Every vehicle count but 0 takes one rule: gaps from
-    ``RingState._gaps`` (so a lone vehicle on a loop no longer than itself
+    ``_gap_column`` (so a lone vehicle on a loop no longer than itself
     collides with itself), and one collision test whose report names the
     first vehicle with the least gap.
 
     ``ring`` is left as it was.  The new ring shares its ids and CAV marks
-    (and their memo) and binds new positions, speeds and accelerations; the
-    gaps of the collision check stay memoized on it, so the next step reuses
-    them.  A ``v_desired`` that is not finite and positive, or so small that
-    ``(v0 / v_desired) ** delta`` overflows, is a ``ValueError``, and so is
-    a ``cav_accel`` that would carry a CAV at ``v0`` farther than one
-    vehicle length in the step, above ``2·(vehicle_length − v0·dt)/dt²``
-    (about 400 m/s² at the defaults), when the ring has a CAV.
-
-    The arithmetic is that of the first vectorized step, operation for
-    operation, so the bits are too.  Leaders' entries come from ``_lead``,
-    the CAV test from the ring's CAV memo, and the new arrays are computed
-    in place (a ufunc's third argument is its output) on fresh temporaries,
-    never in a bound column.  The expressions keep their order:
-    ``0.5 * accel * dt * dt`` is not reassociated, and ``** delta`` stays a
-    power.  Speeds are limited with ``clip``, not ``minimum``/``maximum``:
-    those turn a speed of -0.0 into +0.0, and ``clip`` keeps it.  Constant
-    operands are read-only 0-d float64 arrays made once (``_ZERO``,
-    ``_HALF``, the ring's ``_dt`` and ``_length``, the params' ``_v0``), not
-    Python floats that numpy would convert to such arrays on every call; a
-    CAV command changes from step to step and stays a float.
+    (and their memo) and binds the new positions, speeds and accelerations
+    of ``_step_columns``; the gaps of the collision check stay memoized on
+    it, so the next step reuses them.  A ``v_desired`` that is not finite
+    and positive, or so small that ``(v0 / v_desired) ** delta`` overflows,
+    is a ``ValueError``, and so is a ``cav_accel`` that would carry a CAV at
+    ``v0`` farther than one vehicle length in the step, above
+    ``2·(vehicle_length − v0·dt)/dt²`` (about 400 m/s² at the defaults),
+    when the ring has a CAV.
     """
     if ring.terminal:
         raise ValueError("cannot step a terminal ring (it has collided)")
@@ -255,52 +308,26 @@ def step(ring, cav_accel=0.0, v_desired=None):
         ring.params.check_speed_limit(v_desired)
     out = ring.copy()
     out.step_count += 1
-    p = out.params
     n = out.n
     if n == 0:
         return out, None
 
-    v = out._v
-    accel = idm_acceleration_vec(v, _lead(v), out._gaps(), p,
-                                 v_desired=v_desired)
+    cav = None
     if out._any_cav():
         if cav_accel > out._cav_accel_max:
             raise ValueError(
                 f"CAV command {cav_accel!r} m/s^2 exceeds "
                 f"{out._cav_accel_max!r}: a CAV at v0 would travel more "
                 f"than one vehicle length in a step")
-        np.copyto(accel, cav_accel, where=out._cav)
-
-    dt = out._dt
-    v_new = accel * dt
-    np.add(v, v_new, v_new)
-    v_new.clip(_ZERO, p._v0, out=v_new)
-    half = np.multiply(_HALF, accel)
-    np.multiply(half, dt, half)
-    np.multiply(half, dt, half)
-    disp = v * dt
-    np.add(disp, half, disp)
-    np.maximum(disp, _ZERO, out=disp)  # no reversing
-    np.add(out._pos, disp, disp)
-    np.remainder(disp, out._length, disp)
-    out._pos = disp
-    out._v = v_new
-    out._a = accel
-
-    new_gaps = out._gaps()
-    # one reduction finds no collision; fmin and nanargmin skip NaN, as
-    # ``<=`` does
-    if not np.fmin.reduce(new_gaps) <= 0.0:
-        return out, None
-    i = int(np.nanargmin(new_gaps))
-    j = (i + 1) % n
-    out.terminal = True
-    return out, CollisionReport(
-        step=out.step_count,
-        follower_id=int(out._ids[i]),
-        leader_id=int(out._ids[j]),
-        gap=float(new_gaps[i]),
-    )
+        cav = out._cav
+    out._pos, out._v, out._a, gaps = _step_columns(
+        out._pos, out._v, out._gaps(), _lead_index(n), cav, cav_accel,
+        v_desired, out.params, out._dt, out._length)
+    gaps.setflags(write=False)
+    out._gap_memo = (out._pos, gaps)
+    report = _collision(gaps, out._ids, out.step_count)
+    out.terminal = report is not None
+    return out, report
 
 
 def rollout(ring, steps, control=None, observe=None):
@@ -328,8 +355,10 @@ def rollout(ring, steps, control=None, observe=None):
     return ring, report
 
 
-def _try_insert(ring, forced=False):
-    """Insert one vehicle at the fixed insertion point (position 0) if it fits.
+def _entry_speed(pos, v, length, p, forced):
+    """The speed of a vehicle entering at the fixed insertion point
+    (position 0) of a ring with the columns ``pos`` and ``v``, or ``None``
+    when it does not fit.
 
     Normally the entrant takes the leader's speed and requires a front gap
     covering its desired gap (no braking on entry, so sub-critical loading
@@ -337,25 +366,19 @@ def _try_insert(ring, forced=False):
     taken at a speed the front gap can absorb; these harder entries are what
     pushes the stream past breakdown.
     """
-    p = ring.params
-    if ring.n == 0:
-        ring._insert(0.0, p.v0)
-        return True
-    pos = ring._pos
+    if len(pos) == 0:
+        return p.v0
     i_ahead = pos.argmin()
     # Python floats: their % is numpy's (fmod, then the sign of the divisor)
-    front_gap = pos.item(i_ahead) % ring.length - p.vehicle_length
-    rear_gap = (-pos.item(pos.argmax())) % ring.length - p.vehicle_length
-    v_ahead = ring._v.item(i_ahead)
+    front_gap = pos.item(i_ahead) % length - p.vehicle_length
+    v_ahead = v.item(i_ahead)
+    free = front_gap > p.s0 + p.T * v_ahead
+    if not (free or forced):  # most attempts: no need for the rear gap
+        return None
+    rear_gap = (-pos.item(pos.argmax())) % length - p.vehicle_length
     if front_gap <= p.s0 or rear_gap <= p.s0:
-        return False
-    if front_gap > p.s0 + p.T * v_ahead:
-        ring._insert(0.0, v_ahead)
-        return True
-    if forced:
-        ring._insert(0.0, min(v_ahead, (front_gap - p.s0) / p.T))
-        return True
-    return False
+        return None
+    return v_ahead if free else min(v_ahead, (front_gap - p.s0) / p.T)
 
 
 def load_vehicles(ring, target_count):
@@ -365,32 +388,70 @@ def load_vehicles(ring, target_count):
     toward equilibrium between entries; when no no-braking slot appears
     within ``LOAD_PATIENCE_STEPS`` past the cooldown, a forced entry is
     taken, and ``CapacityError`` ends a loading that has not finished after
-    ``LOAD_MAX_STEPS``.  The whole loading phase is measured every step.
-    Returns ``(loaded_ring, loading FdTrace)``; a ring that already holds
+    ``LOAD_MAX_STEPS``.  Each step is ``step`` with no command, and it ends
+    the loading with a ``RuntimeError`` naming its ``CollisionReport`` if
+    it collides; the whole loading phase is measured every step.  Returns
+    ``(loaded_ring, loading FdTrace)``; a ring that already holds
     ``target_count`` vehicles or more is a ``ValueError``.
+
+    The steps run ``_step_columns`` on local columns, with no ``RingState``
+    between entries: a vehicle enters through ``RingState._insert``.  The
+    new speeds of each step fill a row of a block of at most
+    ``LOAD_COOLDOWN_STEPS`` rows, which is measured and recorded as a whole
+    when it is full and when the vehicle count changes.
     """
     check_capacity(ring.length, ring.params, target_count)
     if ring.n >= target_count:
         raise ValueError(f"nothing to load: the ring holds {ring.n} "
                          f"vehicles and the target is {target_count}")
+    if ring.terminal:
+        raise ValueError("cannot step a terminal ring (it has collided)")
+    cooldown, patience = LOAD_COOLDOWN_STEPS, LOAD_PATIENCE_STEPS
+    max_steps = LOAD_MAX_STEPS
     out = ring.copy()
+    p, dt, length, start = out.params, out._dt, out._length, out.step_count
+    cav = out._cav if out._any_cav() else None  # entrants are human
     rec = metrics.TraceRecorder(metrics.Phase.LOADING)
-    since_insert = LOAD_COOLDOWN_STEPS
-    while out.n < target_count:
-        if out.step_count - ring.step_count >= LOAD_MAX_STEPS:
+    n, pos, v, a, gaps = out.n, out._pos, out._v, out._a, out._gaps()
+    lead = _lead_index(n)
+    block = np.empty((max(cooldown, 1), n))
+    row = steps = 0
+    since_insert = cooldown
+    while n < target_count:
+        if steps >= max_steps:
             raise CapacityError(
-                f"loading stalled at {out.n}/{target_count} vehicles "
-                f"after {LOAD_MAX_STEPS} steps"
+                f"loading stalled at {n}/{target_count} vehicles "
+                f"after {max_steps} steps"
             )
-        if since_insert >= LOAD_COOLDOWN_STEPS:
-            forced = since_insert >= LOAD_COOLDOWN_STEPS + LOAD_PATIENCE_STEPS
-            if _try_insert(out, forced=forced):
-                since_insert = 0
-        out, report = step(out)
+        if since_insert >= cooldown:
+            speed = _entry_speed(pos, v, out.length, p,
+                                 since_insert >= cooldown + patience)
+            if speed is not None:
+                rec._record_block(start + steps, block[:row], out.length)
+                out._pos, out._v, out._a = pos, v, a
+                out._insert(0.0, speed)
+                n, pos, v, a = out.n, out._pos, out._v, out._a
+                gaps, lead = out._gaps(), _lead_index(n)
+                if cav is not None:
+                    cav = out._cav
+                block = np.empty((len(block), n))
+                row = since_insert = 0
+        pos, v, a, gaps = _step_columns(pos, v, gaps, lead, cav, 0.0, None,
+                                        p, dt, length)
+        steps += 1
+        report = _collision(gaps, out._ids, start + steps)
         if report is not None:
             raise RuntimeError(f"collision during loading: {report}")
-        rec.record(out)
+        block[row] = v
+        row += 1
+        if row == len(block):
+            rec._record_block(start + steps, block, out.length)
+            row = 0
         since_insert += 1
+    rec._record_block(start + steps, block[:row], out.length)
+    gaps.setflags(write=False)
+    out._pos, out._v, out._a, out._gap_memo = pos, v, a, (pos, gaps)
+    out.step_count = start + steps
     return out, rec.finish()
 
 

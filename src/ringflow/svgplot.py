@@ -23,9 +23,14 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
 def _nice_ticks(lo, hi):
+    """Ticks a step of 1, 2, 2.5, 5 or 10 times a power of ten apart, about
+    six over [lo, hi], each rounded to the decimals its step needs but to
+    no fewer than 10."""
     span = hi - lo
     raw = span / 5  # about six ticks
-    mag = 10 ** math.floor(math.log10(raw))
+    exponent = math.floor(math.log10(raw))
+    mag = 10 ** exponent
+    digits = max(10, 1 - exponent)
     for mult in (1, 2, 2.5, 5, 10):
         if raw <= mult * mag:
             step = mult * mag
@@ -35,7 +40,7 @@ def _nice_ticks(lo, hi):
     t = start
     while t <= hi + 1e-9 * span:
         if t >= lo - 1e-9 * span:
-            ticks.append(round(t, 10))
+            ticks.append(round(t, digits))
         t += step
     return ticks
 

@@ -1,6 +1,6 @@
 """Shared helpers for building small ring states and flow traces by hand,
-the written-out IDM reference and what theory derives from it, and the
-hypothesis strategy of random valid rings."""
+the written-out IDM reference and what theory derives from it, the
+written-out loading, and the hypothesis strategy of random valid rings."""
 
 import math
 
@@ -9,7 +9,9 @@ import pytest
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ringflow import FdTrace, IdmParams, Phase, RingState
+from ringflow import (CapacityError, FdTrace, IdmParams, Phase, RingState,
+                      TraceRecorder)
+from ringflow import ring as ringmod
 
 
 def make_ring(positions, speeds, cavs=None, length=1000.0, dt=0.1,
@@ -108,18 +110,21 @@ idm_params_drawn = st.just(IdmParams()) | st.builds(
     vehicle_length=st.floats(4.5, 10.0))
 
 
+dts_drawn = st.just(0.1) | st.floats(0.05, 0.1)
+
+
 @st.composite
-def rings(draw, min_n=0, params=idm_params_drawn,
-          dts=st.just(0.1) | st.floats(0.05, 0.1)):
-    """A ring of 0..30 vehicles with positive gaps, speeds in [0, v0] (-0.0
-    among them) and CAV marks; the wrap-around falls anywhere in the
-    arrays.  The IDM parameters and the time step are the defaults or drawn
-    too (from ``params`` and ``dts``), so that a step using constants of
-    another ring or of the default parameters shows."""
+def rings(draw, min_n=0, params=idm_params_drawn, dts=dts_drawn,
+          min_gap=0.05):
+    """A ring of 0..30 vehicles with gaps in [min_gap, 60] m, speeds in
+    [0, v0] (-0.0 among them) and CAV marks; the wrap-around falls anywhere
+    in the arrays.  The IDM parameters and the time step are the defaults or
+    drawn too (from ``params`` and ``dts``), so that a step using constants
+    of another ring or of the default parameters shows."""
     p = draw(params)
     dt = draw(dts)
     n = draw(st.integers(min_n, 30))
-    gaps = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(min_gap, 60.0), min_size=n, max_size=n))
     speeds = draw(st.lists(st.floats(0.0, p.v0) | st.just(-0.0),
                            min_size=n, max_size=n))
     cav = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -134,6 +139,62 @@ def rings(draw, min_n=0, params=idm_params_drawn,
     ring._a = np.zeros(n)
     ring._next_id = n
     return ring
+
+
+def _reference_try_insert(ring, forced):
+    """Insert one vehicle at position 0 if it fits: at the speed of the
+    vehicle ahead when the front gap covers its desired gap, or, when
+    ``forced``, at a speed the front gap absorbs, if both gaps exceed s0."""
+    p = ring.params
+    if ring.n == 0:
+        ring._insert(0.0, p.v0)
+        return True
+    pos = ring._pos
+    i_ahead = pos.argmin()
+    front_gap = pos.item(i_ahead) % ring.length - p.vehicle_length
+    rear_gap = (-pos.item(pos.argmax())) % ring.length - p.vehicle_length
+    v_ahead = ring._v.item(i_ahead)
+    if front_gap <= p.s0 or rear_gap <= p.s0:
+        return False
+    if front_gap > p.s0 + p.T * v_ahead:
+        ring._insert(0.0, v_ahead)
+        return True
+    if forced:
+        ring._insert(0.0, min(v_ahead, (front_gap - p.s0) / p.T))
+        return True
+    return False
+
+
+def reference_load(ring, target_count):
+    """The loading as first written, a ``RingState`` per step: an insertion
+    attempt, ``ring.step`` and ``TraceRecorder.record``.  The reference that
+    ``load_vehicles`` must equal bit for bit, errors included; it reads the
+    ``LOAD_*`` constants of ``ringflow.ring`` when called."""
+    ringmod.check_capacity(ring.length, ring.params, target_count)
+    if ring.n >= target_count:
+        raise ValueError(f"nothing to load: the ring holds {ring.n} "
+                         f"vehicles and the target is {target_count}")
+    cooldown = ringmod.LOAD_COOLDOWN_STEPS
+    patience = ringmod.LOAD_PATIENCE_STEPS
+    max_steps = ringmod.LOAD_MAX_STEPS
+    out = ring.copy()
+    rec = TraceRecorder(Phase.LOADING)
+    since_insert = cooldown
+    while out.n < target_count:
+        if out.step_count - ring.step_count >= max_steps:
+            raise CapacityError(
+                f"loading stalled at {out.n}/{target_count} vehicles "
+                f"after {max_steps} steps")
+        if since_insert >= cooldown:
+            forced = since_insert >= cooldown + patience
+            if _reference_try_insert(out, forced):
+                since_insert = 0
+        out, report = ringmod.step(out)
+        if report is not None:
+            raise RuntimeError(f"collision during loading: {report}")
+        rec.record(out)
+        since_insert += 1
+    return out, rec.finish()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from ringflow import FdTrace, Phase, TraceRecorder, svgplot
+from ringflow import FdTrace, Phase, RingState, TraceRecorder, svgplot
 from ringflow import ring as ringmod
 
 from conftest import make_ring
@@ -51,6 +51,19 @@ def test_recorder_holds_packed_samples():
     # lists of boxed numbers: 168 B/sample; appended to array buffers:
     # 34 B/sample
     assert _peak_bytes(record) / N < 80
+
+
+def test_loading_measures_its_speeds_in_a_bounded_block():
+    samples = []
+
+    def load():
+        _, trace = ringmod.load_vehicles(RingState(250.0), 8)
+        samples.append(len(trace))
+
+    peak = _peak_bytes(load)
+    # an array of speeds kept per step: 206 B/sample; rows of one block of
+    # at most LOAD_COOLDOWN_STEPS steps: 45 B/sample
+    assert peak / samples[0] < 80
 
 
 def test_trace_file_is_written_and_read_in_bounded_pieces(tmp_path):

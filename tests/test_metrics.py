@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ringflow import (
     FdTrace,
+    IdmParams,
     Phase,
+    RingState,
     TraceRecorder,
     hysteresis_gap,
     interp_flow,
@@ -25,8 +27,6 @@ from conftest import make_ring, rings, trace_of
 
 
 def test_empty_loop_measures_zero():
-    from ringflow import RingState
-
     assert measure(RingState()) == (0.0, 0.0, 0.0)
 
 
@@ -300,8 +300,12 @@ def test_a_mutated_trace_file_loads_consistently_or_raises_value_error(
     elif mutation == "truncate":
         # a cut inside the last row leaves it without its newline; a cut to
         # zero characters drops the whole row, which no reader can tell
-        # from a file written one row shorter
-        lines[-1] = lines[-1][:data.draw(st.integers(0, len(lines[-1]) - 1))]
+        # from a file written one row shorter.  Half the cuts fall inside
+        # the last number or on the newline, where the row still parses
+        # and only the missing newline shows the cut.
+        row = lines[-1]
+        first = row.rindex(",") + 2 if data.draw(st.booleans()) else 0
+        lines[-1] = row[:data.draw(st.integers(first, len(row) - 1))]
     text = "".join(lines)
     if mutation in MUST_FAIL or (mutation == "truncate" and lines[-1]):
         with pytest.raises(ValueError):
@@ -327,6 +331,27 @@ def test_recorder_collects_samples():
         assert [t.density[i], t.flow[i], t.mean_speed[i]] == list(measure(ring))
     assert t.steps.tolist() == [r.step_count, r2.step_count]
     assert t.steps.dtype == np.int64
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 80), rows=st.integers(1, 5),
+       length=st.floats(10.0, 5000.0), data=st.data())
+def test_a_block_of_speeds_records_what_record_records_of_each_row(
+        n, rows, length, data):
+    v0 = IdmParams().v0
+    speed = st.sampled_from([0.0, -0.0, v0]) | st.floats(0.0, v0)
+    speeds = np.array(data.draw(st.lists(
+        st.lists(speed, min_size=n, max_size=n), min_size=rows,
+        max_size=rows)))
+    rec = TraceRecorder(Phase.LOADING)
+    rec._record_block(6 + rows, speeds, length)
+    block = rec.finish()
+    ring = RingState(length)
+    ring._ids = np.arange(n)
+    for i, row in enumerate(speeds):
+        ring._v, ring.step_count = row, 7 + i
+        rec.record(ring)
+    _assert_same_trace(block, rec.finish())
 
 
 def test_finish_hands_the_samples_over_and_starts_afresh():

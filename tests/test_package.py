@@ -71,6 +71,7 @@ def test_no_module_imports_inside_a_function():
 
 # the simulator kernels, as (module file, class or None, function)
 KERNELS = (("idm.py", None, "idm_acceleration_vec"), ("ring.py", None, "step"),
+           ("ring.py", None, "_step_columns"), ("ring.py", None, "_gap_column"),
            ("ring.py", "RingState", "_gaps"))
 
 

@@ -2,9 +2,11 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ringflow import (
     CapacityError,
@@ -22,7 +24,8 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow.config import ConfigError, config_from_kv
 
-from conftest import equilibrium_speed, linear_growth, make_ring
+from conftest import (dts_drawn, equilibrium_speed, idm_params_drawn,
+                      linear_growth, make_ring, reference_load, rings)
 
 
 # ---------------------------------------------------------------- gaps
@@ -271,6 +274,69 @@ def test_a_stalled_load_fails_after_the_step_budget(monkeypatch):
     monkeypatch.setattr(ringmod, "LOAD_MAX_STEPS", 5)
     with pytest.raises(CapacityError, match="stalled at 1/2 vehicles"):
         load_vehicles(RingState(), 2)
+
+
+@st.composite
+def loadings(draw):
+    """``(ring, target_count, (cooldown, patience, max_steps))``: an empty
+    loop or a ring of ``rings`` (CAVs and -0.0 speeds among them; gaps of
+    20 m or more, or one speed for all, keep many from colliding), a target
+    a few vehicles above it, and short loading limits, so that blocks fill,
+    entries are forced and budgets run out."""
+    p = draw(idm_params_drawn)
+    dt = draw(dts_drawn)
+    if draw(st.booleans()):
+        ring = RingState(draw(st.floats(30.0, 400.0)), dt, p)
+    else:
+        ring = draw(rings(min_n=1, params=st.just(p), dts=st.just(dt),
+                          min_gap=draw(st.sampled_from([0.05, 20.0]))))
+        if draw(st.booleans()):
+            ring._v = np.full(ring.n, ring._v.item(0))
+        ring.step_count = draw(st.integers(0, 10**6))
+    target = ring.n + draw(st.integers(1, 6))
+    limits = (draw(st.integers(0, 40)), draw(st.integers(0, 60)),
+              draw(st.integers(0, 3000)))
+    return ring, target, limits
+
+
+def _loaded(load, ring, target):
+    """What ``load`` makes of ``ring``: every column, counter and memoized
+    gap of the loaded ring and the trace's columns, as bytes, or the type
+    and text of the error it raised."""
+    try:
+        out, trace = load(ring, target)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+    memo_pos, gaps = out._gap_memo
+    assert memo_pos is out._pos
+    return ([getattr(out, name).tobytes() for name, _ in ringmod._COLUMNS],
+            out.step_count, out._next_id, out.terminal, gaps.tobytes(),
+            [c.tobytes() for c in (trace.steps, trace.density, trace.flow,
+                                   trace.mean_speed)])
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(loadings())
+@example((RingState(250.0), 4, (ringmod.LOAD_COOLDOWN_STEPS,
+                                ringmod.LOAD_PATIENCE_STEPS,
+                                ringmod.LOAD_MAX_STEPS)))
+def test_loading_equals_the_reference_loading(case):
+    ring, target, (cooldown, patience, max_steps) = case
+    with mock.patch.multiple(ringmod, LOAD_COOLDOWN_STEPS=cooldown,
+                             LOAD_PATIENCE_STEPS=patience,
+                             LOAD_MAX_STEPS=max_steps):
+        assert _loaded(load_vehicles, ring, target) == _loaded(
+            reference_load, ring, target)
+
+
+def test_a_collision_during_loading_is_reported_as_the_reference_reports():
+    # the second vehicle overlaps the first, so the first step collides
+    ring = make_ring([100.0, 103.0, 500.0], [5.0, 5.0, 5.0])
+    expected = _loaded(reference_load, ring, 5)
+    assert expected[0] is RuntimeError and expected[1].startswith(
+        "collision during loading: CollisionReport(step=1, ")
+    assert _loaded(load_vehicles, ring, 5) == expected
 
 
 # ---------------------------------------------------------------- removal

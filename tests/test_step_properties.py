@@ -218,6 +218,22 @@ def test_a_gap_of_exactly_zero_is_a_collision():
     assert out.terminal
 
 
+@pytest.mark.parametrize("gaps, follower", [
+    ([3.0, -1.0, 2.0, -1.0], 1),
+    ([np.nan, -1.0, -2.0, -2.0, np.nan], 2),
+    ([0.0, np.nan], 0),
+    ([np.nan, 4.0, np.nan], None),
+    ([np.nan, np.nan], None),
+])
+def test_the_report_names_the_first_least_gap_and_skips_nan(gaps, follower):
+    gaps = np.array(gaps)
+    ids = np.arange(10, 10 + len(gaps))
+    expected = None if follower is None else CollisionReport(
+        step=7, follower_id=10 + follower,
+        leader_id=10 + (follower + 1) % len(gaps), gap=gaps[follower])
+    assert ringmod._collision(gaps, ids, 7) == expected
+
+
 def test_the_collision_check_gaps_serve_the_next_step():
     ring = RingState(length=200.0)
     for x in (0.0, 50.0, 120.0):

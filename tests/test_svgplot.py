@@ -122,3 +122,15 @@ def test_series_that_overflow_an_axis_only_together_are_rejected():
     with pytest.raises(ValueError, match="chart series 'high'"):
         chart.points([1e308], [0.0], label="high")
     assert chart.render() == svg  # the rejected series left no trace
+
+
+@pytest.mark.parametrize("lo, hi, ticks", [
+    (0.0, 4e-11, [0.0, 1e-11, 2e-11, 3e-11, 4e-11]),
+    (1.0, 1.0 + 4e-11,
+     [1.00000000001, 1.00000000002, 1.00000000003, 1.00000000004]),
+    (0.0, 6e-3, [0.0, 0.002, 0.004, 0.006]),
+], ids=["narrow-at-zero", "narrow-at-one", "wide"])
+def test_ticks_are_rounded_to_the_digits_their_step_needs(lo, hi, ticks):
+    # every tick was round(t, 10): five 0.0 for the first axis, four 1.0
+    # for the second
+    assert svgplot._nice_ticks(lo, hi) == ticks
