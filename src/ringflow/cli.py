@@ -118,10 +118,6 @@ def cmd_train(args):
     built = scen.build_scenario(config)
     out = _out_dir(args)
     ring.save_snapshot(built.post_removal_ring, os.path.join(out, "snapshot.json"))
-    with open(os.path.join(out, "run.json"), "w") as f:
-        json.dump({"config": cfg.config_to_kv(config),
-                   "success_flow_threshold":
-                       built.env_spec.success_flow_threshold}, f, indent=2)
     built.loading_trace.decimate(10).write(
         os.path.join(out, "loading_trace.csv"))
     env = dqn.RingEnv(built.env_spec)
@@ -129,6 +125,11 @@ def cmd_train(args):
     result.write_reward_trace(os.path.join(out, "reward_trace.csv"))
     qnet.save_checkpoint(result.network, result.adam,
                          os.path.join(out, "checkpoint.bin"))
+    # last, so that a run that dies in training leaves no run.json
+    with open(os.path.join(out, "run.json"), "w") as f:
+        json.dump({"config": cfg.config_to_kv(config),
+                   "success_flow_threshold":
+                       built.env_spec.success_flow_threshold}, f, indent=2)
     if result.episodes:
         rewards = result.episode_rewards()
         chart = svgplot.Chart("Episode reward", "episode", "cumulative reward")

@@ -19,6 +19,14 @@ def _operand(value):
 _ZERO, _ONE = _operand(0.0), _operand(1.0)
 
 
+def _positive_real(value):
+    """Whether ``value`` is no bool and a number in (0, inf) that a float
+    holds, so not past the largest float; ``<`` raises a ``TypeError`` for
+    a value that is no number."""
+    return (not isinstance(value, bool)
+            and 0 < value <= math.nextafter(math.inf, 0.0))
+
+
 @dataclass(frozen=True)
 class IdmParams:
     """Car-following parameters.
@@ -42,10 +50,9 @@ class IdmParams:
 
     def __post_init__(self):
         for name in ("v0", "T", "a_max", "b", "delta", "s0", "vehicle_length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0 < value < math.inf:
+            if not _positive_real(getattr(self, name)):
                 raise ValueError(f"IdmParams.{name} must be finite and "
-                                 f"strictly positive, not a bool")
+                                 f"strictly positive as a float, not a bool")
         if self.delta < 1:
             raise ValueError("IdmParams.delta must be >= 1")
         # the operands of ``idm_acceleration_vec`` and ``ring.step``, each

@@ -8,14 +8,14 @@ ring order, so the leader of index i is index (i+1) % n.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import repeat
 
 import numpy as np
 
-from .idm import _ZERO, IdmParams, _operand, idm_acceleration_vec
+from .idm import (_ZERO, IdmParams, _operand, _positive_real,
+                  idm_acceleration_vec)
 from . import metrics
 
 SNAPSHOT_FORMAT = "ringflow-snapshot"
@@ -70,14 +70,14 @@ class RingState:
     Columns are values: every change binds a new array, and none is written
     in place.  So ``copy()`` shares the columns, and marks them read-only,
     instead of copying them; a stray in-place write raises instead of
-    changing another ring.  Two facts derived from a column are memoized on
-    the identity of that column, and copies share the memos: the gaps on
-    ``_pos`` (``_gap_memo``) and whether any vehicle is a CAV on ``_cav``
-    (``_cav_memo``).  Binding a new column invalidates its memo, with no
-    list of sites to keep; the memo holds the array, so its identity cannot
-    be reused while the memo lives.  ``_length`` and ``_dt`` are ``length``
-    and ``dt`` as the read-only 0-d operands of the step's ufunc calls, made
-    here once and shared by copies.
+    changing another ring.  ``_bind`` binds columns together with the facts
+    the step derives from them, read-only and shared by copies like the
+    columns: the leader index ``_lead`` and the gaps ``_gap`` of ``_pos``,
+    and the CAV mask ``_cav_mask`` of ``_cav`` (``None`` when no vehicle is
+    a CAV).  Only ``step`` and ``load_vehicles`` bind positions without it,
+    together with the gaps their kernel computed for them.  ``_length`` and
+    ``_dt`` are ``length`` and ``dt`` as the read-only 0-d operands of the
+    step's ufunc calls, made here once and shared by copies.
 
     One step may carry a vehicle at most one vehicle length: a follower that
     passed its leader whole within a step would leave a positive gap, and
@@ -89,10 +89,9 @@ class RingState:
     """
 
     def __init__(self, length=1000.0, dt=0.1, params=None):
-        if (isinstance(length, bool) or isinstance(dt, bool)
-                or not (0 < length < math.inf and 0 < dt < math.inf)):
-            raise ValueError("length and dt must be finite and positive, "
-                             "not bools")
+        if not (_positive_real(length) and _positive_real(dt)):
+            raise ValueError("length and dt must be finite and positive as "
+                             "floats, not bools")
         self.length = float(length)
         self.dt = float(dt)
         self._length, self._dt = _operand(self.length), _operand(self.dt)
@@ -111,11 +110,9 @@ class RingState:
                                / (self.dt * self.dt))
         self.step_count = 0
         self.terminal = False
-        for name, dtype in _COLUMNS:
-            setattr(self, name, np.empty(0, dtype=dtype))
+        self._bind(**{name: np.empty(0, dtype=dtype)
+                      for name, dtype in _COLUMNS})
         self._next_id = 0
-        self._gap_memo = (None, None)  # (the _pos they belong to, gaps)
-        self._cav_memo = (None, False)  # (the _cav it belongs to, any CAV)
 
     # -- views ------------------------------------------------------------
 
@@ -142,10 +139,10 @@ class RingState:
         return float(np.add.reduce(self._v) / n) if n else 0.0
 
     def copy(self):
-        """A ring that shares this ring's columns and memos; the columns are
-        read-only from here on, in both rings.  Only a column that is still
-        writable is marked: after a ring's first copy that is at most the
-        three that ``step`` binds anew."""
+        """A ring that shares this ring's columns and their facts; the
+        columns are read-only from here on, in both rings.  Only a column
+        that is still writable is marked: after a ring's first copy that is
+        at most the three that ``step`` binds anew."""
         state = vars(self)
         for name in _COLUMN_NAMES:
             column = state[name]
@@ -155,58 +152,42 @@ class RingState:
         vars(out).update(state)
         return out
 
+    def _bind(self, **columns):
+        """Bind ``columns`` (by their ``_COLUMNS`` names) and the read-only
+        facts the step derives from them: for ``_pos``, the index of every
+        vehicle's leader ``_lead`` (``column.take(_lead)`` is
+        ``np.roll(column, -1)``) and the gaps ``_gap`` (``_gap_column``;
+        ``length`` and ``params`` are never rebound); for ``_cav``,
+        ``_cav_mask``, the CAV marks or ``None`` when there is no CAV."""
+        vars(self).update(columns)
+        pos = columns.get("_pos")
+        if pos is not None:
+            lead = np.roll(np.arange(len(pos)), -1)
+            gaps = _gap_column(pos, lead, self._length,
+                               self.params._vehicle_length)
+            lead.setflags(write=False)
+            gaps.setflags(write=False)
+            self._lead, self._gap = lead, gaps
+        cav = columns.get("_cav")
+        if cav is not None:
+            self._cav_mask = cav if cav.any() else None
+
     def _take(self, index):
         """Rebind every column to its rows at ``index`` (an index array)."""
-        for name in _COLUMN_NAMES:
-            setattr(self, name, getattr(self, name)[index])
-
-    def _gaps(self):
-        """Bumper-to-bumper gap of every vehicle to its ring leader
-        (``_gap_column``; read-only, computed once per ``_pos`` array;
-        ``length`` and ``params`` are never rebound)."""
-        pos = self._pos
-        memo_pos, gaps = self._gap_memo
-        if memo_pos is not pos:
-            gaps = _gap_column(pos, _lead_index(len(pos)), self._length,
-                               self.params._vehicle_length)
-            gaps.setflags(write=False)
-            self._gap_memo = (pos, gaps)
-        return gaps
-
-    def _any_cav(self):
-        """Whether any vehicle is a CAV, computed once per ``_cav`` array."""
-        cav = self._cav
-        memo_cav, any_cav = self._cav_memo
-        if memo_cav is not cav:
-            any_cav = bool(cav.any())
-            self._cav_memo = (cav, any_cav)
-        return any_cav
+        self._bind(**{name: getattr(self, name)[index]
+                      for name in _COLUMN_NAMES})
 
     def _insert(self, position, speed, cav=False):
         position = position % self.length
         i = int(np.searchsorted(self._pos, position))
         row = (self._next_id, cav, position, speed, 0.0)
-        for (name, _), value in zip(_COLUMNS, row):
-            setattr(self, name, np.insert(getattr(self, name), i, value))
+        columns = {name: np.insert(getattr(self, name), i, value)
+                   for (name, _), value in zip(_COLUMNS, row)}
         self._next_id += 1
         # keep cyclic order canonical (ascending by position)
-        self._take(np.argsort(self._pos, kind="stable"))
-
-
-# n -> the read-only index of every vehicle's leader, [1, 2, ..., n-1, 0]
-_LEAD_INDEX = {}
-
-
-def _lead_index(n):
-    """The index that takes every vehicle's leader's entry from a column of
-    ``n``: ``column.take(index)`` is ``np.roll(column, -1)`` (kept per ``n``
-    in ``_LEAD_INDEX``; empty for n = 0)."""
-    index = _LEAD_INDEX.get(n)
-    if index is None:
-        index = np.roll(np.arange(n), -1)
-        index.setflags(write=False)
-        _LEAD_INDEX[n] = index
-    return index
+        order = np.argsort(columns["_pos"], kind="stable")
+        self._bind(**{name: column[order]
+                      for name, column in columns.items()})
 
 
 def _gap_column(pos, lead, length, vehicle_length):
@@ -229,9 +210,10 @@ def _step_columns(pos, v, gaps, lead, cav, cav_accel, v_desired, p, dt,
     new ``(positions, speeds, accelerations, gaps)`` as new arrays.
 
     ``gaps`` are those of ``pos`` and ``lead`` the leader index of n
-    (``_lead_index``).  ``cav`` is the CAV mask, whose vehicles all get
-    ``cav_accel``, or ``None`` for a ring without CAVs; ``v_desired`` caps
-    the IDM desired speed, or is ``None``.  ``dt`` and ``length`` are the
+    (``RingState._gap`` and ``._lead``).  ``cav`` is the CAV mask, whose
+    vehicles all get ``cav_accel``, or ``None`` for a ring without CAVs
+    (``RingState._cav_mask``); ``v_desired`` caps the IDM desired speed, or
+    is ``None``.  ``dt`` and ``length`` are the
     ring's 0-d operands (``RingState._dt``, ``._length``).
 
     The arithmetic is that of the first vectorized step, operation for
@@ -292,12 +274,12 @@ def step(ring, cav_accel=0.0, v_desired=None):
     collides with itself), and one collision test whose report names the
     first vehicle with the least gap.
 
-    ``ring`` is left as it was.  The new ring shares its ids and CAV marks
-    (and their memo) and binds the new positions, speeds and accelerations
-    of ``_step_columns``; the gaps of the collision check stay memoized on
-    it, so the next step reuses them.  A ``v_desired`` that is not finite
-    and positive, or so small that ``(v0 / v_desired) ** delta`` overflows,
-    is a ``ValueError``, and so is a ``cav_accel`` that would carry a CAV at
+    ``ring`` is left as it was.  The new ring shares its ids, CAV marks and
+    leader index and binds the new positions, speeds and accelerations of
+    ``_step_columns`` together with its gaps, which the collision check and
+    the next step read.  A ``v_desired`` that is not finite and positive,
+    or so small that ``(v0 / v_desired) ** delta`` overflows, is a
+    ``ValueError``, and so is a ``cav_accel`` that would carry a CAV at
     ``v0`` farther than one vehicle length in the step, above
     ``2·(vehicle_length − v0·dt)/dt²`` (about 400 m/s² at the defaults),
     when the ring has a CAV.
@@ -308,23 +290,20 @@ def step(ring, cav_accel=0.0, v_desired=None):
         ring.params.check_speed_limit(v_desired)
     out = ring.copy()
     out.step_count += 1
-    n = out.n
-    if n == 0:
+    if out.n == 0:
         return out, None
 
-    cav = None
-    if out._any_cav():
-        if cav_accel > out._cav_accel_max:
-            raise ValueError(
-                f"CAV command {cav_accel!r} m/s^2 exceeds "
-                f"{out._cav_accel_max!r}: a CAV at v0 would travel more "
-                f"than one vehicle length in a step")
-        cav = out._cav
+    cav = out._cav_mask
+    if cav is not None and cav_accel > out._cav_accel_max:
+        raise ValueError(
+            f"CAV command {cav_accel!r} m/s^2 exceeds "
+            f"{out._cav_accel_max!r}: a CAV at v0 would travel more "
+            f"than one vehicle length in a step")
     out._pos, out._v, out._a, gaps = _step_columns(
-        out._pos, out._v, out._gaps(), _lead_index(n), cav, cav_accel,
-        v_desired, out.params, out._dt, out._length)
+        out._pos, out._v, out._gap, out._lead, cav, cav_accel, v_desired,
+        out.params, out._dt, out._length)
     gaps.setflags(write=False)
-    out._gap_memo = (out._pos, gaps)
+    out._gap = gaps
     report = _collision(gaps, out._ids, out.step_count)
     out.terminal = report is not None
     return out, report
@@ -410,10 +389,9 @@ def load_vehicles(ring, target_count):
     max_steps = LOAD_MAX_STEPS
     out = ring.copy()
     p, dt, length, start = out.params, out._dt, out._length, out.step_count
-    cav = out._cav if out._any_cav() else None  # entrants are human
     rec = metrics.TraceRecorder(metrics.Phase.LOADING)
-    n, pos, v, a, gaps = out.n, out._pos, out._v, out._a, out._gaps()
-    lead = _lead_index(n)
+    n, pos, v, a, gaps = out.n, out._pos, out._v, out._a, out._gap
+    lead, cav = out._lead, out._cav_mask
     block = np.empty((max(cooldown, 1), n))
     row = steps = 0
     since_insert = cooldown
@@ -428,12 +406,10 @@ def load_vehicles(ring, target_count):
                                  since_insert >= cooldown + patience)
             if speed is not None:
                 rec._record_block(start + steps, block[:row], out.length)
-                out._pos, out._v, out._a = pos, v, a
-                out._insert(0.0, speed)
-                n, pos, v, a = out.n, out._pos, out._v, out._a
-                gaps, lead = out._gaps(), _lead_index(n)
-                if cav is not None:
-                    cav = out._cav
+                out._pos, out._v, out._a, out._gap = pos, v, a, gaps
+                out._insert(0.0, speed)  # a human entrant
+                n, pos, v, a, gaps = out.n, out._pos, out._v, out._a, out._gap
+                lead, cav = out._lead, out._cav_mask
                 block = np.empty((len(block), n))
                 row = since_insert = 0
         pos, v, a, gaps = _step_columns(pos, v, gaps, lead, cav, 0.0, None,
@@ -450,7 +426,7 @@ def load_vehicles(ring, target_count):
         since_insert += 1
     rec._record_block(start + steps, block[:row], out.length)
     gaps.setflags(write=False)
-    out._pos, out._v, out._a, out._gap_memo = pos, v, a, (pos, gaps)
+    out._pos, out._v, out._a, out._gap = pos, v, a, gaps
     out.step_count = start + steps
     return out, rec.finish()
 
@@ -500,14 +476,14 @@ def apply_formation(ring, cav_count, strategy):
         raise ValueError(f"unknown strategy {strategy}")
     cav = np.zeros(out.n, dtype=bool)
     cav[idx] = True
-    out._cav = cav
+    out._bind(_cav=cav)
     return out
 
 
 def revert_to_human(ring):
     """Turn every CAV back into a human-driven vehicle; kinematics untouched."""
     out = ring.copy()
-    out._cav = np.zeros(out.n, dtype=bool)
+    out._bind(_cav=np.zeros(out.n, dtype=bool))
     return out
 
 
@@ -536,9 +512,10 @@ def snapshot_to_json(ring):
 
 def _exactly(kind, name, value):
     """``value`` if its type is ``kind`` itself (a bool is no int here); the
-    snapshot's ints are counts and ids, so they must be >= 0 too."""
-    if type(value) is not kind or (kind is int and value < 0):
-        bound = " >= 0" if kind is int else ""
+    snapshot's ints are counts and ids, so they must lie in [0, 2**63), the
+    range of an int64 id column, too."""
+    if type(value) is not kind or (kind is int and not 0 <= value < 2**63):
+        bound = " in [0, 2**63)" if kind is int else ""
         raise ValueError(f"snapshot {name} must be {kind.__name__}{bound}, "
                          f"got {value!r}")
     return value
@@ -564,15 +541,16 @@ def _known_keys(doc, keys, where):
 
 def snapshot_from_json(text):
     """Read a snapshot document back into a ring.  ``ValueError`` if a field
-    is missing, ``step_count``, ``next_id`` or an id is not an int >= 0,
-    ``terminal`` is not a bool, ``length``, ``dt`` or an IDM parameter is a
-    bool, a vehicle's position, speed or last acceleration is not a JSON
-    number (an int or a float, not a bool) that a float holds, a number is
-    not finite, ids repeat or reach ``next_id``, a kind is
-    unknown, positions leave [0, length) or cyclic ring order, speeds leave
-    [0, v0], vehicles overlap (a gap <= 0) in a ring that has not collided,
-    or the document or a vehicle holds a key ``snapshot_to_json`` does not
-    write."""
+    is missing, ``step_count``, ``next_id`` or an id is not an int in
+    [0, 2**63), ``terminal`` is not a bool, ``length``, ``dt`` or an IDM
+    parameter is a bool or past the largest float, a vehicle's position,
+    speed or last acceleration is not a JSON number (an int or a float, not
+    a bool) that a float holds, a number is not finite, ids repeat or reach
+    ``next_id``, a kind is unknown, positions leave [0, length) or cyclic
+    ring order, speeds leave [0, v0], vehicles overlap (a gap <= 0) in a
+    ring that has not collided, or the document or a vehicle holds a key
+    ``snapshot_to_json`` does not write.  The columns are checked before
+    they are bound, so the gaps are derived from checked positions only."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -596,16 +574,17 @@ def snapshot_from_json(text):
                  *(_number(f"vehicle {key}", v[key])
                    for key in ("position", "speed", "last_accel")))
                 for v in doc["vehicles"]]
-        for (name, dtype), values in zip(_COLUMNS, zip(*rows)):
-            setattr(ring, name, np.array(values, dtype=dtype))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed ring snapshot: {e!r}") from e
-    pos, v, p = ring._pos, ring._v, ring.params
-    if not np.isfinite(np.concatenate([pos, v, ring._a])).all():
+    columns = {name: np.array([row[k] for row in rows], dtype=dtype)
+               for k, (name, dtype) in enumerate(_COLUMNS)}
+    ids, pos, v = columns["_ids"], columns["_pos"], columns["_v"]
+    p = ring.params
+    if not np.isfinite(np.concatenate([pos, v, columns["_a"]])).all():
         raise ValueError("ring snapshot holds a non-finite number")
-    if len(np.unique(ring._ids)) < ring.n:
+    if len(np.unique(ids)) < len(ids):
         raise ValueError("vehicle ids are not unique")
-    if ring.n and ring._next_id <= ring._ids.max():
+    if len(ids) and ring._next_id <= ids.max():
         raise ValueError(f"next_id {ring._next_id} is already in use")
     if ((pos < 0.0) | (pos >= ring.length)).any():
         raise ValueError(f"a position lies outside [0, {ring.length})")
@@ -614,7 +593,8 @@ def snapshot_from_json(text):
         raise ValueError("vehicle positions are not in ring order")
     if ((v < 0.0) | (v > p.v0)).any():
         raise ValueError(f"a speed lies outside [0, v0 = {p.v0}]")
-    if not ring.terminal and not (ring._gaps() > 0.0).all():
+    ring._bind(**columns)
+    if not ring.terminal and not (ring._gap > 0.0).all():
         raise ValueError("vehicles overlap in a ring that has not collided")
     return ring
 

@@ -25,7 +25,8 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 def _nice_ticks(lo, hi):
     """Ticks a step of 1, 2, 2.5, 5 or 10 times a power of ten apart, about
     six over [lo, hi], each rounded to the decimals its step needs but to
-    no fewer than 10."""
+    no fewer than 10; a tick that rounds to zero is +0.0, never a -0.0 that
+    the running sum left and that would read "-0"."""
     span = hi - lo
     raw = span / 5  # about six ticks
     exponent = math.floor(math.log10(raw))
@@ -40,7 +41,7 @@ def _nice_ticks(lo, hi):
     t = start
     while t <= hi + 1e-9 * span:
         if t >= lo - 1e-9 * span:
-            ticks.append(round(t, digits))
+            ticks.append(round(t, digits) + 0.0)  # -0.0 + 0.0 is +0.0
         t += step
     return ticks
 

@@ -24,6 +24,23 @@ def make_ring(positions, speeds, cavs=None, length=1000.0, dt=0.1,
     return ring
 
 
+def assert_facts_bound(ring):
+    """The facts ``RingState._bind`` keeps beside the columns are those of
+    the ring's columns, read-only, and the gaps bit for bit those of the
+    step's rule written out: the leader index and the gaps of ``_pos``
+    (a lone vehicle leads itself, a whole loop ahead), and the CAV mask of
+    ``_cav``."""
+    pos, p = ring._pos, ring.params
+    if ring.n == 1:
+        gaps = np.array([ring.length - p.vehicle_length])
+    else:
+        gaps = (np.roll(pos, -1) - pos) % ring.length - p.vehicle_length
+    assert ring._lead.tolist() == np.roll(np.arange(ring.n), -1).tolist()
+    assert ring._gap.tobytes() == gaps.tobytes()
+    assert ring._cav_mask is (ring._cav if ring._cav.any() else None)
+    assert not (ring._lead.flags.writeable or ring._gap.flags.writeable)
+
+
 def reference_idm(v, leader_v, gap, p, v_desired=None):
     """The IDM acceleration (Treiber, Hennecke and Helbing, 2000) written out
     with numpy operators: the reference that the shipped
@@ -132,11 +149,10 @@ def rings(draw, min_n=0, params=idm_params_drawn, dts=dts_drawn,
     offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * length
     steps = [0.0] + [g + p.vehicle_length for g in gaps[:-1]]
     ring = RingState(length=length, dt=dt, params=p)
-    ring._ids = np.arange(n, dtype=np.int64)
-    ring._cav = np.array(cav, dtype=bool)
-    ring._pos = (offset + np.cumsum(steps[:n])) % length
-    ring._v = np.array(speeds, dtype=np.float64)
-    ring._a = np.zeros(n)
+    ring._bind(_ids=np.arange(n, dtype=np.int64),
+               _cav=np.array(cav, dtype=bool),
+               _pos=(offset + np.cumsum(steps[:n])) % length,
+               _v=np.array(speeds, dtype=np.float64), _a=np.zeros(n))
     ring._next_id = n
     return ring
 

@@ -451,25 +451,6 @@ def test_zero_episodes_returns_untouched_network():
     assert result.episodes == []
 
 
-def test_toy_mdp_reaches_value_iteration_fixpoint():
-    env = ToyMdp()
-    steps = 20_000
-    cfg = DdqnConfig(
-        episodes=10_000,
-        total_train_steps=steps,
-        target_sync_period=200,
-        min_buffer_before_learning=64,
-        replay_capacity=5000,
-        epsilon=EpsilonSchedule(1.0, 0.05, decay_steps=10_000),
-        lr=LrSchedule(base=0.005, final=0.0005, total_steps=steps),
-        seed=1,
-    )
-    result = train(env, cfg, spec=MlpSpec(1, (16, 16), 3))
-    q_hat = forward_batch(result.network, np.array([[0.0], [1.0]]))
-    q_star = value_iteration_toy(0.9)
-    np.testing.assert_allclose(q_hat, q_star, atol=0.05)
-
-
 def test_training_is_seed_deterministic():
     cfg = DdqnConfig(
         episodes=20, total_train_steps=400, target_sync_period=50,

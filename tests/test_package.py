@@ -1,6 +1,7 @@
 """What importing the package costs: numpy, and no scipy; and no module
-imports a name it never uses, or imports inside a function, and no public
-function takes a flag parameter."""
+imports a name it never uses, or imports inside a function, no public
+function takes a flag parameter, and only the ring's binders bind its
+columns."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import ringflow
+from ringflow import ring as ringmod
 
 
 def test_import_loads_no_scipy():
@@ -72,7 +74,7 @@ def test_no_module_imports_inside_a_function():
 # the simulator kernels, as (module file, class or None, function)
 KERNELS = (("idm.py", None, "idm_acceleration_vec"), ("ring.py", None, "step"),
            ("ring.py", None, "_step_columns"), ("ring.py", None, "_gap_column"),
-           ("ring.py", "RingState", "_gaps"))
+           ("ring.py", "RingState", "_bind"))
 
 
 def _float_literal(node):
@@ -144,3 +146,75 @@ def test_no_public_function_takes_a_flag_parameter():
         "class C:\n    def m(self, *, k=True, j=None):\n        pass\n"
         "    def __init__(self, z=False, n=0):\n        pass\n") == \
         ["__init__ (line 8)", "f (line 1)", "m (line 6)"]
+
+
+def _targets(target):
+    """The single targets of an assignment target, tuples unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _targets(element)
+    elif isinstance(target, ast.Starred):
+        yield from _targets(target.value)
+    else:
+        yield target
+
+
+def _attribute_binds(source, names):
+    """``(function, line)`` of every binding of an attribute named in
+    ``names``: as an assignment target, or through ``setattr`` with that
+    name or with a name that is no constant (it could be any of them).
+    The function is qualified by its class (``"RingState._bind"``), and
+    module-level code is ``"<module>"``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = node.name if scope == "<module>" else \
+                f"{scope}.{node.name}"
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        found.update((scope, node.lineno)
+                     for target in targets for t in _targets(target)
+                     if isinstance(t, ast.Attribute) and t.attr in names)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) >= 2):
+            name = node.args[1]
+            if not isinstance(name, ast.Constant) or name.value in names:
+                found.add((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+# A ring binds its columns through RingState._bind, which binds the facts
+# the step derives from them beside them (the gaps and leader index of the
+# positions, the CAV mask of the marks); step and load_vehicles bind their
+# kernel's positions together with its gaps.
+BOUND = frozenset(ringmod._COLUMN_NAMES) | {"_gap", "_lead", "_cav_mask"}
+BINDERS = {("ring.py", "RingState._bind"), ("ring.py", "step"),
+           ("ring.py", "load_vehicles")}
+
+
+def test_only_the_binders_bind_a_rings_columns_and_their_facts():
+    package = Path(ringflow.__file__).resolve().parent
+    found = {(path.name, scope, line)
+             for path in sorted(package.glob("*.py"))
+             for scope, line in _attribute_binds(path.read_text(), BOUND)}
+    assert sorted(f for f in found if f[:2] not in BINDERS) == []
+    assert {f[:2] for f in found} == BINDERS  # the check sees the binders
+    assert _attribute_binds(
+        "class RingState:\n    def _bind(self, **c):\n        self._pos = c\n"
+        "def step(r):\n    r._pos, (r._v, *r._a) = 1, (2, 3)\n"
+        "def f(r, name):\n    r._gap += 1\n    setattr(r, '_cav', 1)\n"
+        "    setattr(r, name, 2)\n    setattr(r, 'other', 3)\n"
+        "    r.pos = 4\n    r._pos.x = 5\n    def g():\n        r._lead = 6\n"
+        "r._cav_mask: bool = None\n", BOUND) == [
+            ("<module>", 15), ("RingState._bind", 3), ("f", 7), ("f", 8),
+            ("f", 9), ("f.g", 14), ("step", 5)]

@@ -24,8 +24,9 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow.config import ConfigError, config_from_kv
 
-from conftest import (dts_drawn, equilibrium_speed, idm_params_drawn,
-                      linear_growth, make_ring, reference_load, rings)
+from conftest import (assert_facts_bound, dts_drawn, equilibrium_speed,
+                      idm_params_drawn, linear_growth, make_ring,
+                      reference_load, rings)
 
 
 # ---------------------------------------------------------------- gaps
@@ -37,33 +38,31 @@ from conftest import (dts_drawn, equilibrium_speed, idm_params_drawn,
 
 def test_gap_direct_subtraction():
     r = make_ring([100.0, 150.0], [10.0, 10.0])
-    np.testing.assert_allclose(r._gaps(), [45.0, 945.0])
+    np.testing.assert_allclose(r._gap, [45.0, 945.0])
 
 
 def test_gap_modular_wraparound():
     r = make_ring([990.0, 10.0], [10.0, 10.0])
-    np.testing.assert_allclose(r._gaps(), [975.0, 15.0])
+    np.testing.assert_allclose(r._gap, [975.0, 15.0])
 
 
 def test_gap_degenerate_overlap_is_negative_length():
     r = make_ring([500.0, 500.0], [0.0, 0.0])
-    np.testing.assert_allclose(r._gaps(), [-5.0, -5.0])
+    np.testing.assert_allclose(r._gap, [-5.0, -5.0])
 
 
 def test_a_lone_vehicle_leads_itself_a_whole_loop_ahead(monkeypatch):
     r = make_ring([120.0], [10.0], length=300.0)
-    gaps = r._gaps()
-    assert gaps.tolist() == [300.0 - 5.0]
-    assert r._gaps() is gaps
+    assert r._gap.tolist() == [300.0 - 5.0]
     with pytest.raises(ValueError, match="read-only"):
-        gaps[0] = 1.0
+        r._gap[0] = 1.0
     r2, report = ringmod.step(r)
     assert report is None
-    # the step's collision test left the new gaps memoized, and the next
-    # step hands exactly that array to the IDM
-    memo_pos, memo = r2._gap_memo
-    assert memo_pos is r2._pos and r2._gaps() is memo
-    assert memo.tolist() == [295.0] and not memo.flags.writeable
+    # the step bound the gaps of its collision test with its positions, and
+    # the next step hands exactly that array to the IDM
+    assert_facts_bound(r2)
+    gaps = r2._gap
+    assert gaps.tolist() == [295.0]
     seen = []
     real_idm = ringmod.idm_acceleration_vec
 
@@ -73,7 +72,7 @@ def test_a_lone_vehicle_leads_itself_a_whole_loop_ahead(monkeypatch):
 
     monkeypatch.setattr(ringmod, "idm_acceleration_vec", spy)
     ringmod.step(r2)
-    assert len(seen) == 1 and seen[0] is memo
+    assert len(seen) == 1 and seen[0] is gaps
 
 
 # ---------------------------------------------------------------- step
@@ -209,7 +208,7 @@ def _mode_amplitude(ring, k):
     """|Fourier coefficient k| of the gaps, vehicle index by index (a step
     keeps every vehicle at its index)."""
     j = np.arange(ring.n)
-    return abs(np.sum(ring._gaps() * np.exp(-2j * np.pi * k * j / ring.n)))
+    return abs(np.sum(ring._gap * np.exp(-2j * np.pi * k * j / ring.n)))
 
 
 # Uniform flow on the 1000 m loop is linearly unstable from 29 veh/km.
@@ -300,17 +299,16 @@ def loadings(draw):
 
 
 def _loaded(load, ring, target):
-    """What ``load`` makes of ``ring``: every column, counter and memoized
+    """What ``load`` makes of ``ring``: every column, counter and bound
     gap of the loaded ring and the trace's columns, as bytes, or the type
     and text of the error it raised."""
     try:
         out, trace = load(ring, target)
     except (ValueError, RuntimeError) as e:
         return type(e), str(e)
-    memo_pos, gaps = out._gap_memo
-    assert memo_pos is out._pos
+    assert_facts_bound(out)
     return ([getattr(out, name).tobytes() for name, _ in ringmod._COLUMNS],
-            out.step_count, out._next_id, out.terminal, gaps.tobytes(),
+            out.step_count, out._next_id, out.terminal, out._gap.tobytes(),
             [c.tobytes() for c in (trace.steps, trace.density, trace.flow,
                                    trace.mean_speed)])
 
@@ -534,6 +532,19 @@ def _set_vehicle(i, key, value):
     _set_vehicle(0, "kind", "CAV"),
     _set_vehicle(0, "kind", ["cav"]),
     _set_vehicle(0, "kind", True),
+    # gaps are computed only after the numbers pass, so an infinite
+    # position is this ValueError, not a warning from the gap formula
+    _set_vehicle(0, "position", float("inf")),
+    _set_vehicle(1, "position", -float("inf")),
+    _set_vehicle(0, "speed", float("inf")),
+    _set_vehicle(1, "speed", -float("inf")),
+    # numbers that an int64 id column or a float cannot hold
+    _set_vehicle(0, "id", 2**63),
+    lambda doc: doc.update(next_id=2**63),
+    lambda doc: doc.update(step_count=2**63),
+    lambda doc: doc.update(length=10**400),
+    lambda doc: doc.update(dt=10**400),
+    lambda doc: doc["idm"].update(v0=10**400),
 ], ids=["duplicate-id", "next-id-in-use", "unknown-kind", "nan-speed",
         "infinite-length", "nan-idm", "position-past-length",
         "negative-position", "out-of-order", "negative-speed",
@@ -543,7 +554,10 @@ def _set_vehicle(i, key, value):
         "negative-step-count", "negative-next-id", "negative-id", "dt-bool",
         "length-bool", "idm-bool", "position-str", "speed-bool",
         "last-accel-str", "position-huge-int", "dt-underflow",
-        "kind-upper-case", "kind-list", "kind-bool"])
+        "kind-upper-case", "kind-list", "kind-bool", "inf-position",
+        "minus-inf-position", "inf-speed", "minus-inf-speed",
+        "id-past-int64", "next-id-past-int64", "step-count-past-int64",
+        "length-past-float", "dt-past-float", "idm-past-float"])
 def test_snapshot_rejects_states_the_simulator_cannot_reach(edit):
     doc = json.loads(snapshot_to_json(_snapshot_ring()))
     snapshot_from_json(json.dumps(doc))  # the unedited document loads
@@ -576,7 +590,7 @@ def _round_trip(ring):
 ], ids=["overlap", "same-position", "lone-longer-than-loop"])
 def test_snapshot_rejects_overlapping_vehicles(positions, length):
     r = make_ring(positions, [5.0] * len(positions), length=length)
-    assert not r.terminal and (r._gaps() <= 0.0).any()
+    assert not r.terminal and (r._gap <= 0.0).any()
     with pytest.raises(ValueError, match="overlap"):
         _round_trip(r)
 
@@ -589,7 +603,7 @@ def test_a_collided_snapshot_with_overlapping_vehicles_loads():
     assert loaded.terminal
     for name, _ in ringmod._COLUMNS:
         assert getattr(loaded, name).tobytes() == getattr(r2, name).tobytes()
-    assert loaded._gaps().tobytes() == r2._gaps().tobytes()
+    assert loaded._gap.tobytes() == r2._gap.tobytes()
 
 
 def test_snapshot_rejects_garbage():

@@ -207,6 +207,43 @@ def test_cli_evaluate_rejects_a_run_whose_snapshot_overlaps(trained_run,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["vehicles"][0].update(id=2**63),
+    lambda doc: doc.update(length=10**400),
+], ids=["id-past-int64", "length-past-float"])
+def test_cli_evaluate_rejects_a_snapshot_number_the_ring_cannot_hold(
+        trained_run, tmp_path, capsys, edit):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run[1], run)
+    doc = json.loads((run / "snapshot.json").read_text())
+    edit(doc)
+    (run / "snapshot.json").write_text(json.dumps(doc))
+    code = cli_main(["evaluate", "--run", str(run),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_train_that_dies_in_training_leaves_no_run_json(
+        trained_run, tmp_path, monkeypatch, capsys):
+    def dies(env, config, spec):
+        raise RuntimeError("killed in training")
+
+    monkeypatch.setattr(dqn, "train", dies)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(trained_run[0]),
+                     "--out", str(run)]) == 2
+    assert "killed in training" in capsys.readouterr().err
+    assert (run / "snapshot.json").exists()
+    assert not (run / "run.json").exists()
+    code = cli_main(["evaluate", "--run", str(run),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "run.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _assert_retired_key_fails_the_run(trained_run, tmp_path, capsys,
                                       after, retired):
     """A run.json written before ``retired`` ('key = value') was retired

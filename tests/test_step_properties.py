@@ -20,7 +20,7 @@ from ringflow import (
 from ringflow import ring as ringmod
 from ringflow.dqn import ACTION_ACCELS, EnvSpec, RingEnv
 
-from conftest import make_ring, reference_idm, rings
+from conftest import assert_facts_bound, make_ring, reference_idm, rings
 
 P = IdmParams()
 STEPS = 8
@@ -66,9 +66,11 @@ def reference_step(ring, cav_accel, v_desired):
 
 
 def step_matching_reference(ring, cav_accel=0.0, v_desired=None):
-    """``ring.step``, asserted equal to ``reference_step`` bit for bit."""
+    """``ring.step``, asserted equal to ``reference_step`` bit for bit, with
+    the facts of its new columns bound."""
     pos, v, a, ref_report = reference_step(ring, cav_accel, v_desired)
     out, report = ringmod.step(ring, cav_accel, v_desired)
+    assert_facts_bound(out)
     assert out._pos.tobytes() == pos.tobytes()
     assert out._v.tobytes() == v.tobytes()
     assert out._a.tobytes() == a.tobytes()
@@ -132,8 +134,8 @@ def test_a_step_carries_no_follower_past_its_leader_unseen(
 
 def _insert_in_largest_gap(r):
     out = r.copy()
-    k = int(np.argmax(out._gaps()))
-    out._insert(out._pos[k] + (out._gaps()[k] + P.vehicle_length) / 2, 0.0)
+    k = int(np.argmax(out._gap))
+    out._insert(out._pos[k] + (out._gap[k] + P.vehicle_length) / 2, 0.0)
     return out
 
 
@@ -164,6 +166,7 @@ def test_a_change_between_steps_leaves_no_stale_gaps(change, ring, first,
     ring, report = ringmod.step(ring, *first)
     assume(report is None)
     changed = CHANGES[change](ring)
+    assert_facts_bound(changed)
     step_matching_reference(changed, *second)
 
 
@@ -239,11 +242,10 @@ def test_the_collision_check_gaps_serve_the_next_step():
     for x in (0.0, 50.0, 120.0):
         ring._insert(x, 10.0)
     out, _ = ringmod.step(ring)
-    memo_pos, gaps = out._gap_memo
-    assert memo_pos is out._pos
-    assert out._gaps() is gaps
+    assert_facts_bound(out)
     nxt = out.copy()
-    assert nxt._gaps() is gaps  # a copy shares the memo
+    for fact in ("_gap", "_lead", "_cav_mask"):  # a copy shares the facts
+        assert getattr(nxt, fact) is getattr(out, fact)
 
 
 def test_copies_share_read_only_columns():
@@ -257,8 +259,9 @@ def test_copies_share_read_only_columns():
         with pytest.raises(ValueError, match="read-only"):
             getattr(copied, c)[0] = 1
         np.testing.assert_array_equal(getattr(ring, c), before[c])
-    with pytest.raises(ValueError, match="read-only"):
-        copied._gaps()[0] = 1.0
+    for fact in ("_gap", "_lead"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(copied, fact)[0] = 1
     # rebinding a column on the copy leaves the source alone
     copied._v = np.zeros(3)
     np.testing.assert_array_equal(ring._v, before["_v"])

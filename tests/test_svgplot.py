@@ -134,3 +134,14 @@ def test_ticks_are_rounded_to_the_digits_their_step_needs(lo, hi, ticks):
     # every tick was round(t, 10): five 0.0 for the first axis, four 1.0
     # for the second
     assert svgplot._nice_ticks(lo, hi) == ticks
+
+
+def test_a_tick_that_rounds_to_zero_is_labelled_0_not_minus_0():
+    # the running sum of the ticks passes 0 at about -1.4e-17, which rounds
+    # to -0.0 and was labelled "-0"
+    ticks = svgplot._nice_ticks(-0.108563, 0.086316)
+    assert ticks == [-0.1, -0.05, 0.0, 0.05]
+    assert [math.copysign(1.0, t) for t in ticks] == [-1.0, -1.0, 1.0, 1.0]
+    svg = svgplot.Chart().points([0, 1], [-0.1, 0.08]).render()
+    assert ">-0</text>" not in svg
+    assert svg.count(">0</text>") == 2  # the x axis's first tick, and y's
