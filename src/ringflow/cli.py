@@ -54,6 +54,8 @@ def _count_from(least):
 def _output_dir(path):
     if not path:
         raise argparse.ArgumentTypeError("must name a directory")
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"not a directory: {path}")
     return path
 
 

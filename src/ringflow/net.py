@@ -326,9 +326,12 @@ def load_checkpoint(path, expect_spec=None):
     for i in range(1, n_layers):
         if shapes[i][0] != dims[i]:
             raise CheckpointError(f"layer shapes do not chain at layer {i}")
-    spec = MlpSpec(
-        input_dim=dims[0], hidden_dims=tuple(dims[1:-1]), output_dim=dims[-1]
-    )
+    try:
+        spec = MlpSpec(input_dim=dims[0], hidden_dims=tuple(dims[1:-1]),
+                       output_dim=dims[-1])
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint layer shapes {shapes}: {e}") \
+            from None
     if expect_spec is not None and spec != expect_spec:
         raise CheckpointError(
             f"checkpoint spec {spec} does not match expected {expect_spec}"

@@ -8,6 +8,7 @@ ring order, so the leader of index i is index (i+1) % n.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import repeat
@@ -67,17 +68,14 @@ class RingState:
     """Ordered vehicle collection on a loop, plus geometry and clock.
 
     Storage is one array per column (``_COLUMNS``) in cyclic ring order.
-    Columns are values: every change binds a new array, and none is written
-    in place.  So ``copy()`` shares the columns, and marks them read-only,
-    instead of copying them; a stray in-place write raises instead of
-    changing another ring.  ``_bind`` binds columns together with the facts
-    the step derives from them, read-only and shared by copies like the
+    Columns are values: ``_bind`` is the only code that binds one, and it
+    binds it read-only, together with the facts the step derives from the
     columns: the leader index ``_lead`` and the gaps ``_gap`` of ``_pos``,
     and the CAV mask ``_cav_mask`` of ``_cav`` (``None`` when no vehicle is
-    a CAV).  Only ``step`` and ``load_vehicles`` bind positions without it,
-    together with the gaps their kernel computed for them.  ``_length`` and
-    ``_dt`` are ``length`` and ``dt`` as the read-only 0-d operands of the
-    step's ufunc calls, made here once and shared by copies.
+    a CAV).  So ``copy()`` shares the columns and their facts, and a stray
+    in-place write raises instead of changing another ring.  ``_length``
+    and ``_dt`` are ``length`` and ``dt`` as the read-only 0-d operands of
+    the step's ufunc calls, made here once and shared by copies.
 
     One step may carry a vehicle at most one vehicle length: a follower that
     passed its leader whole within a step would leave a positive gap, and
@@ -139,35 +137,32 @@ class RingState:
         return float(np.add.reduce(self._v) / n) if n else 0.0
 
     def copy(self):
-        """A ring that shares this ring's columns and their facts; the
-        columns are read-only from here on, in both rings.  Only a column
-        that is still writable is marked: after a ring's first copy that is
-        at most the three that ``step`` binds anew."""
-        state = vars(self)
-        for name in _COLUMN_NAMES:
-            column = state[name]
-            if column.flags.writeable:
-                column.setflags(write=False)
+        """A ring that shares this ring's read-only columns and facts."""
         out = object.__new__(RingState)
-        vars(out).update(state)
+        vars(out).update(vars(self))
         return out
 
-    def _bind(self, **columns):
-        """Bind ``columns`` (by their ``_COLUMNS`` names) and the read-only
-        facts the step derives from them: for ``_pos``, the index of every
-        vehicle's leader ``_lead`` (``column.take(_lead)`` is
+    def _bind(self, _gap=None, **columns):
+        """Bind ``columns`` (by their ``_COLUMNS`` names) read-only, and the
+        read-only facts the step derives from them: for ``_pos``, the index
+        of every vehicle's leader ``_lead`` (``column.take(_lead)`` is
         ``np.roll(column, -1)``) and the gaps ``_gap`` (``_gap_column``;
-        ``length`` and ``params`` are never rebound); for ``_cav``,
-        ``_cav_mask``, the CAV marks or ``None`` when there is no CAV."""
+        ``length`` and ``params`` are never rebound), or, given ``_gap``,
+        those gaps and the ``_lead`` kept: the kernel's gaps of a ``_pos``
+        it stepped from this ring's, so the vehicle count is unchanged; for
+        ``_cav``, ``_cav_mask``, the CAV marks or ``None`` without a CAV."""
+        for column in columns.values():
+            column.setflags(write=False)
         vars(self).update(columns)
         pos = columns.get("_pos")
         if pos is not None:
-            lead = np.roll(np.arange(len(pos)), -1)
-            gaps = _gap_column(pos, lead, self._length,
-                               self.params._vehicle_length)
-            lead.setflags(write=False)
-            gaps.setflags(write=False)
-            self._lead, self._gap = lead, gaps
+            if _gap is None:
+                self._lead = np.roll(np.arange(len(pos)), -1)
+                self._lead.setflags(write=False)
+                _gap = _gap_column(pos, self._lead, self._length,
+                                   self.params._vehicle_length)
+            _gap.setflags(write=False)
+            self._gap = _gap
         cav = columns.get("_cav")
         if cav is not None:
             self._cav_mask = cav if cav.any() else None
@@ -248,15 +243,11 @@ def _step_columns(pos, v, gaps, lead, cav, cav_accel, v_desired, p, dt,
 
 def _collision(gaps, ids, step_count):
     """The ``CollisionReport`` of the first vehicle with the least gap when
-    that gap is <= 0, else ``None``; NaN gaps are skipped, as ``<=`` skips
-    them.  ``argmin`` finds the least gap in one pass, unless it stops at a
-    NaN; then ``nanargmin`` looks past them."""
+    that gap is not positive, else ``None``.  A NaN gap, which no step of a
+    checked command makes, is where ``argmin`` stops, and is reported."""
     i = gaps.argmin()
     gap = gaps.item(i)
-    if gap != gap and not np.isnan(gaps).all():
-        i = np.nanargmin(gaps)
-        gap = gaps.item(i)
-    if not gap <= 0.0:
+    if gap > 0.0:
         return None
     return CollisionReport(step=step_count, follower_id=ids.item(i),
                            leader_id=ids.item((i + 1) % len(ids)), gap=gap)
@@ -279,10 +270,10 @@ def step(ring, cav_accel=0.0, v_desired=None):
     ``_step_columns`` together with its gaps, which the collision check and
     the next step read.  A ``v_desired`` that is not finite and positive,
     or so small that ``(v0 / v_desired) ** delta`` overflows, is a
-    ``ValueError``, and so is a ``cav_accel`` that would carry a CAV at
-    ``v0`` farther than one vehicle length in the step, above
-    ``2·(vehicle_length − v0·dt)/dt²`` (about 400 m/s² at the defaults),
-    when the ring has a CAV.
+    ``ValueError``.  So, on a ring with a CAV, is a ``cav_accel`` that is
+    not a finite number or that would carry a CAV at ``v0`` farther than
+    one vehicle length in the step, above ``2·(vehicle_length − v0·dt)/dt²``
+    (about 400 m/s² at the defaults).
     """
     if ring.terminal:
         raise ValueError("cannot step a terminal ring (it has collided)")
@@ -294,16 +285,15 @@ def step(ring, cav_accel=0.0, v_desired=None):
         return out, None
 
     cav = out._cav_mask
-    if cav is not None and cav_accel > out._cav_accel_max:
+    if cav is not None and not -math.inf < cav_accel <= out._cav_accel_max:
         raise ValueError(
-            f"CAV command {cav_accel!r} m/s^2 exceeds "
-            f"{out._cav_accel_max!r}: a CAV at v0 would travel more "
-            f"than one vehicle length in a step")
-    out._pos, out._v, out._a, gaps = _step_columns(
+            f"CAV command {cav_accel!r} m/s^2 is not a finite number at "
+            f"most {out._cav_accel_max!r}, the most that keeps a CAV at v0 "
+            f"within one vehicle length of travel in a step")
+    pos, v, a, gaps = _step_columns(
         out._pos, out._v, out._gap, out._lead, cav, cav_accel, v_desired,
         out.params, out._dt, out._length)
-    gaps.setflags(write=False)
-    out._gap = gaps
+    out._bind(_pos=pos, _v=v, _a=a, _gap=gaps)
     report = _collision(gaps, out._ids, out.step_count)
     out.terminal = report is not None
     return out, report
@@ -406,7 +396,7 @@ def load_vehicles(ring, target_count):
                                  since_insert >= cooldown + patience)
             if speed is not None:
                 rec._record_block(start + steps, block[:row], out.length)
-                out._pos, out._v, out._a, out._gap = pos, v, a, gaps
+                out._bind(_pos=pos, _v=v, _a=a, _gap=gaps)
                 out._insert(0.0, speed)  # a human entrant
                 n, pos, v, a, gaps = out.n, out._pos, out._v, out._a, out._gap
                 lead, cav = out._lead, out._cav_mask
@@ -425,8 +415,7 @@ def load_vehicles(ring, target_count):
             row = 0
         since_insert += 1
     rec._record_block(start + steps, block[:row], out.length)
-    gaps.setflags(write=False)
-    out._pos, out._v, out._a, out._gap = pos, v, a, gaps
+    out._bind(_pos=pos, _v=v, _a=a, _gap=gaps)
     out.step_count = start + steps
     return out, rec.finish()
 

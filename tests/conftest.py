@@ -25,11 +25,11 @@ def make_ring(positions, speeds, cavs=None, length=1000.0, dt=0.1,
 
 
 def assert_facts_bound(ring):
-    """The facts ``RingState._bind`` keeps beside the columns are those of
-    the ring's columns, read-only, and the gaps bit for bit those of the
-    step's rule written out: the leader index and the gaps of ``_pos``
-    (a lone vehicle leads itself, a whole loop ahead), and the CAV mask of
-    ``_cav``."""
+    """The ring's columns are read-only, as ``RingState._bind`` binds them,
+    and the facts it keeps beside them are those of the columns, read-only,
+    and the gaps bit for bit those of the step's rule written out: the
+    leader index and the gaps of ``_pos`` (a lone vehicle leads itself, a
+    whole loop ahead), and the CAV mask of ``_cav``."""
     pos, p = ring._pos, ring.params
     if ring.n == 1:
         gaps = np.array([ring.length - p.vehicle_length])
@@ -39,6 +39,8 @@ def assert_facts_bound(ring):
     assert ring._gap.tobytes() == gaps.tobytes()
     assert ring._cav_mask is (ring._cav if ring._cav.any() else None)
     assert not (ring._lead.flags.writeable or ring._gap.flags.writeable)
+    assert [name for name in ringmod._COLUMN_NAMES
+            if getattr(ring, name).flags.writeable] == []
 
 
 def reference_idm(v, leader_v, gap, p, v_desired=None):

@@ -5,6 +5,7 @@ through ``_verdict`` and asserting on it, so a plain ``pytest -v`` run doubles
 as the acceptance report.
 """
 
+import multiprocessing
 import os
 import time
 from dataclasses import replace
@@ -325,18 +326,37 @@ N_SEEDS = 5
 EVAL_STEPS = 3000
 
 
+def _train_desk_seed(config):
+    """Train, evaluate and measure the plateau of one desk seed, in a
+    worker forked after the parent built the scenarios, so that
+    ``build_scenario`` reuses the parent's loading."""
+    env_spec = build_scenario(config).env_spec
+    result = train(RingEnv(env_spec), config.ddqn, spec=config.net_spec)
+    plateau = idm_plateau_speed(env_spec)
+    trace, report = evaluate(result.network, env_spec, EVAL_STEPS)
+    return result, plateau, trace, report
+
+
 @pytest.fixture(scope="module")
 def desk_training():
-    """Train the desk profile on the mpr33 preset for five seeds."""
+    """Train the desk profile on the mpr33 preset for five seeds, one seed
+    per worker process, forked after the scenarios are built (they share
+    one loading)."""
+    desk = apply_profile(preset("mpr33"), "desk")
+    configs = [replace(desk, ddqn=replace(desk.ddqn, seed=seed))
+               for seed in range(N_SEEDS)]
+    builts = [build_scenario(c) for c in configs]
+    workers = min(N_SEEDS, len(os.sched_getaffinity(0)))
+    # fork, so that the workers inherit the loaded ring; the process's one
+    # other thread is OpenBLAS's pool, which OpenBLAS stops before a fork
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        trained = pool.map(_train_desk_seed, configs)
     runs = []
-    for seed in range(N_SEEDS):
-        c = apply_profile(preset("mpr33"), "desk")
-        c = replace(c, ddqn=replace(c.ddqn, seed=seed))
-        built = build_scenario(c)
-        env = RingEnv(built.env_spec)
-        result = train(env, c.ddqn, spec=c.net_spec)
-        plateau = idm_plateau_speed(built.env_spec)
-        trace, report = evaluate(result.network, built.env_spec, EVAL_STEPS)
+    for seed, (c, built, (result, plateau, trace, report)) in enumerate(
+            zip(configs, builts, trained)):
+        # unpickled, a network's weights are copies of its params, not
+        # views into them: rebuild them as views
+        result.network = result.network.copy()
         # the speeds before a crash are no steady state, even on the
         # rollout's last step
         completed = report is None
@@ -357,7 +377,6 @@ def desk_training():
 
 
 def test_criterion_7_desk_scale_learning(desk_training):
-    t0 = time.perf_counter()
     grew = 0
     for run in desk_training:
         rewards = run["result"].episode_rewards()
@@ -370,7 +389,6 @@ def test_criterion_7_desk_scale_learning(desk_training):
     growth_ok = grew >= 3
     passing = [r for r in desk_training if r["speed_ok"]]
     speed_ok = len(passing) >= 3
-    del t0
     detail = "; ".join(
         f"seed {r['seed']}: collided at step {r['collided_at']}, plateau "
         f"{r['plateau']:.2f} (not steady)" if r["collided_at"] is not None else

@@ -354,14 +354,21 @@ def test_cli_config_and_preset_are_exclusive(tmp_path):
     assert code == 1
 
 
-def test_cli_out_is_the_only_output_dir_setting(monkeypatch, capsys):
+def test_cli_out_is_the_only_output_dir_setting(monkeypatch, capsys,
+                                                tmp_path):
     monkeypatch.setenv("RINGFLOW_OUT", "elsewhere")
     parse = build_parser().parse_args
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
     for command in ("hysteresis", "train", "compare"):
         assert parse([command]).out == "out"
         assert parse([command, "--out", "runs/a"]).out == "runs/a"
         assert cli_main([command, "--out", ""]) == 1
         assert "argument --out: must name a directory" in \
+            capsys.readouterr().err
+        # a file is refused before any work
+        assert cli_main([command, "--out", str(a_file)]) == 1
+        assert f"argument --out: not a directory: {a_file}" in \
             capsys.readouterr().err
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_kv({"scenario.out_dir": "runs"})

@@ -386,10 +386,14 @@ def test_checkpoint_wrong_magic(tmp_path):
 
 
 def test_checkpoint_without_layers(tmp_path):
+    # no layer, or a layer with a dim of 0
     p = tmp_path / "empty.bin"
-    p.write_bytes(b"RFQNET01" + struct.pack("<II", 1, 0) + struct.pack("<Q", 0))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(p)
+    for shapes in ((), ((0, 3),), ((1, 0),)):
+        p.write_bytes(b"RFQNET01" + struct.pack("<II", 1, len(shapes))
+                      + b"".join(struct.pack("<II", *s) for s in shapes)
+                      + struct.pack("<Q", 0))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
 
 
 def test_checkpoint_truncation(tmp_path):

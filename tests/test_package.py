@@ -193,13 +193,12 @@ def _attribute_binds(source, names):
     return sorted(found)
 
 
-# A ring binds its columns through RingState._bind, which binds the facts
-# the step derives from them beside them (the gaps and leader index of the
-# positions, the CAV mask of the marks); step and load_vehicles bind their
-# kernel's positions together with its gaps.
+# A ring binds its columns only through RingState._bind, which binds the
+# facts the step derives from them beside them (the gaps and leader index of
+# the positions, the CAV mask of the marks), or the kernel's gaps of the
+# positions it stepped.
 BOUND = frozenset(ringmod._COLUMN_NAMES) | {"_gap", "_lead", "_cav_mask"}
-BINDERS = {("ring.py", "RingState._bind"), ("ring.py", "step"),
-           ("ring.py", "load_vehicles")}
+BINDERS = {("ring.py", "RingState._bind")}
 
 
 def test_only_the_binders_bind_a_rings_columns_and_their_facts():

@@ -290,7 +290,7 @@ def loadings(draw):
         ring = draw(rings(min_n=1, params=st.just(p), dts=st.just(dt),
                           min_gap=draw(st.sampled_from([0.05, 20.0]))))
         if draw(st.booleans()):
-            ring._v = np.full(ring.n, ring._v.item(0))
+            ring._bind(_v=np.full(ring.n, ring._v.item(0)))
         ring.step_count = draw(st.integers(0, 10**6))
     target = ring.n + draw(st.integers(1, 6))
     limits = (draw(st.integers(0, 40)), draw(st.integers(0, 60)),
@@ -702,8 +702,11 @@ def test_step_rejects_a_cav_command_that_could_carry_it_past_its_leader():
                      length=100.0)
     bound = ring._cav_accel_max  # 2 (5 - 30 * 0.1) / 0.1**2
     assert bound == pytest.approx(400.0)
-    with pytest.raises(ValueError, match="CAV command 401.0"):
-        ringmod.step(ring, 401.0)
+    before = snapshot_to_json(ring)
+    for command in (401.0, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"CAV command {command!r} "):
+            ringmod.step(ring, command)
+        assert snapshot_to_json(ring) == before
     out, report = ringmod.step(ring, bound)
     assert report is not None and report.follower_id == 0  # seen, not passed
     # a ring without CAVs takes no command, so it is not checked

@@ -223,12 +223,13 @@ def test_a_gap_of_exactly_zero_is_a_collision():
 
 @pytest.mark.parametrize("gaps, follower", [
     ([3.0, -1.0, 2.0, -1.0], 1),
-    ([np.nan, -1.0, -2.0, -2.0, np.nan], 2),
-    ([0.0, np.nan], 0),
-    ([np.nan, 4.0, np.nan], None),
-    ([np.nan, np.nan], None),
+    ([4.0, -1.0, -2.0, -2.0, 5.0], 2),
+    ([0.0, 3.0], 0),
+    ([2.0, 4.0, 0.5], None),
+    ([7.5], None),
+    ([2.0, 0.0, 0.0], 1),
 ])
-def test_the_report_names_the_first_least_gap_and_skips_nan(gaps, follower):
+def test_the_report_names_the_first_least_gap(gaps, follower):
     gaps = np.array(gaps)
     ids = np.arange(10, 10 + len(gaps))
     expected = None if follower is None else CollisionReport(
@@ -252,6 +253,9 @@ def test_copies_share_read_only_columns():
     ring = RingState(length=200.0)
     for x in (0.0, 50.0, 120.0):
         ring._insert(x, 10.0, cav=x == 50.0)
+    for c in COLUMNS:  # read-only as bound, before any copy
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ring, c)[0] = 1
     before = {c: getattr(ring, c).copy() for c in COLUMNS}
     copied = ring.copy()
     for c in COLUMNS:
@@ -263,5 +267,5 @@ def test_copies_share_read_only_columns():
         with pytest.raises(ValueError, match="read-only"):
             getattr(copied, fact)[0] = 1
     # rebinding a column on the copy leaves the source alone
-    copied._v = np.zeros(3)
+    copied._bind(_v=np.zeros(3))
     np.testing.assert_array_equal(ring._v, before["_v"])
